@@ -33,8 +33,10 @@ from .phases import (
     gripper_close_fraction,
     label_phases,
     label_trace,
+    phase_ids,
 )
-from .sampling import SelectionMask, shrink_batch, weighted_sample_without_replacement
+from .sampling import (SelectionMask, shrink_batch, weighted_sample_rows,
+                       weighted_sample_without_replacement)
 from .scores import (
     GroupCollapsedError,
     PhaseScoreReport,

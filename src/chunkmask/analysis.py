@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .phases import PHASES, PhaseLabel
+from .phases import PHASES
 from .sampling import weighted_sample_without_replacement
 from .scores import (
     GroupCollapsedError,
@@ -35,10 +35,9 @@ class AnalysisResult:
     budget: int
 
 
-def analyze(records, budget: int = 12, p_min: float = 0.1,
-            seed: int = 0) -> AnalysisResult:
-    """Score every task group, aggregate a keep-probability table across
-    the scoreable groups, and sample a budgeted chunk mask per trajectory.
+def _score_groups(records, p_min: float = 0.1):
+    """Build and score every task group once. Returns the per-group analyses
+    (file order), the groups, and the refreshed keep-probability state.
 
     Groups whose rewards have zero variance are reported as skipped; a group
     with fewer than 2 trajectories is an input error.
@@ -47,12 +46,13 @@ def analyze(records, budget: int = 12, p_min: float = 0.1,
     if not grouped:
         raise ValueError("no trace records to analyze")
     state = PhaseScoreState(refresh_window=len(grouped), floor=p_min)
-    analyses = []
+    analyses, groups = [], []
     for task_id, members in grouped.items():
         if len(members) < 2:
             raise ValueError(
                 f"task {task_id!r}: group size {len(members)} < 2")
         group = records_to_group(members)
+        groups.append(group)
         try:
             report = compute_phase_scores(group)
         except GroupCollapsedError:
@@ -67,18 +67,22 @@ def analyze(records, budget: int = 12, p_min: float = 0.1,
     if state.buffers_empty:
         raise ValueError("every group was skipped; nothing to score")
     state.refresh()
+    return analyses, groups, state
 
+
+def analyze(records, budget: int = 12, p_min: float = 0.1,
+            seed: int = 0) -> AnalysisResult:
+    """Score every task group, aggregate a keep-probability table across
+    the scoreable groups, and sample a budgeted chunk mask per trajectory."""
+    analyses, groups, state = _score_groups(records, p_min)
     rng = np.random.default_rng(seed)
-    for analysis in analyses:
+    for analysis, group in zip(analyses, groups):
         if analysis.report is None:
             continue
-        group = records_to_group(grouped[analysis.task_id])
-        analysis.masks = []
-        for i, traj in enumerate(group.trajectories):
-            weights = state.chunk_weights(traj.labels)
-            m = min(budget, traj.num_chunks)
-            analysis.masks.append(
-                weighted_sample_without_replacement(weights, m, rng, i))
+        weights = state.chunk_weights(group.phase_ids)
+        analysis.masks = [
+            weighted_sample_without_replacement(w[:n], min(budget, n), rng, i)
+            for i, (w, n) in enumerate(zip(weights, group.chunk_mask.sum(axis=1)))]
     return AnalysisResult(groups=analyses, keep_probs=dict(state.keep_probs),
                           budget=budget)
 
@@ -111,19 +115,14 @@ def knee_point(fractions, captured) -> tuple:
 def sweep_budget(records) -> BudgetSweep:
     """Rank all chunks by their phase score and trace how much of the total
     score mass is captured as the retained fraction grows."""
-    result = analyze(records)
-    scores = {c: 0.0 for c in PHASES}
-    for analysis in result.groups:
-        if analysis.report is None:
-            continue
-        for c, value in analysis.report.scores.items():
-            scores[c] += value
-
-    chunk_scores = []
-    for record in records:
-        for c in record.to_trajectory().labels:
-            chunk_scores.append(scores.get(c, 0.0))
-    chunk_scores = np.sort(np.asarray(chunk_scores))[::-1]
+    analyses, groups, _ = _score_groups(records)
+    scores = np.zeros(len(PHASES))
+    for analysis in analyses:
+        if analysis.report is not None:
+            for c, value in analysis.report.scores.items():
+                scores[PHASES.index(c)] += value
+    chunk_scores = np.concatenate([scores[g.phase_ids[g.chunk_mask]] for g in groups])
+    chunk_scores = np.sort(chunk_scores)[::-1]
 
     total = chunk_scores.sum()
     n = chunk_scores.size

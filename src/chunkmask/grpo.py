@@ -1,5 +1,26 @@
 """Group-relative advantages, analytic Gaussian chunk policy, and loss
-gradients with per-phase decomposition and variance estimates."""
+gradients with per-phase decomposition and variance estimates.
+
+A RolloutGroup holds G trajectories of up to N chunks as stacked arrays,
+from rollout to gradient:
+
+    observations   (G, N, F)     per-chunk features
+    actions        (G, N, L, D)  L timesteps of D-dimensional actions per chunk
+    phase_ids      (G, N)        integer phase of each chunk, an index into PHASES
+    valid          (G, N, L)     True on real timesteps; False on the zero
+                                 padding of a partial trailing chunk and of
+                                 chunks past a shorter trajectory's end
+    gripper        (G, N, L)     per-timestep gripper-close commands
+    rewards        (G,)          binary outcomes; advantages, trajectory_ids (G,)
+    chunk_indices  (G, N)        chunk positions in the source trajectory
+
+Scores and gradients weight every timestep by `valid`, so padding never
+counts. Shrinking a group to selected chunks gathers along the chunk axis
+and keeps `group_size`, the size of the source group, for normalization.
+ChunkedTrajectory is the per-trajectory form used at the edges: trace I/O,
+the labeler and tests (RolloutGroup.from_trajectories and .trajectories
+convert between the two).
+"""
 
 from __future__ import annotations
 
@@ -7,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .phases import PhaseLabel
+from .phases import PHASES, PhaseLabel, phase_ids
 
 
 @dataclass
@@ -45,9 +66,17 @@ class ChunkedTrajectory:
 
 @dataclass
 class RolloutGroup:
-    """G trajectories for one task prompt with group-relative advantages."""
+    """G trajectories for one task prompt, stacked chunk by chunk and padded
+    to the longest trajectory (see the module docstring for the layout)."""
 
-    trajectories: list[ChunkedTrajectory]
+    observations: np.ndarray
+    actions: np.ndarray
+    phase_ids: np.ndarray
+    valid: np.ndarray
+    rewards: np.ndarray
+    gripper: np.ndarray
+    trajectory_ids: np.ndarray = None
+    chunk_indices: np.ndarray = None
     epsilon: float = 1e-6
     advantages: np.ndarray = None
     # Group size of the uncompacted source group; kept through shrinking so
@@ -55,16 +84,59 @@ class RolloutGroup:
     group_size: int = None
 
     def __post_init__(self):
+        g, n = self.phase_ids.shape
+        if self.trajectory_ids is None:
+            self.trajectory_ids = np.arange(g)
+        if self.chunk_indices is None:
+            self.chunk_indices = np.broadcast_to(np.arange(n), (g, n))
         if self.group_size is None:
-            self.group_size = len(self.trajectories)
+            self.group_size = g
         if self.advantages is None:
             self.advantages = group_advantages(self.rewards, self.epsilon)
         else:
             self.advantages = np.asarray(self.advantages, dtype=float)
 
+    @classmethod
+    def from_trajectories(cls, trajectories, epsilon: float = 1e-6) -> "RolloutGroup":
+        """Stack ChunkedTrajectory objects, zero-padding shorter ones. A
+        trajectory's real timesteps are the first len(gripper) of its
+        chunks; the rest of its chunks is marked invalid."""
+        trajectories = list(trajectories)
+        g, n = len(trajectories), max(t.num_chunks for t in trajectories)
+        f = trajectories[0].observations.shape[1]
+        l, d = trajectories[0].actions.shape[1:]
+        obs, actions = np.zeros((g, n, f)), np.zeros((g, n, l, d))
+        ids, chunk_indices = np.zeros((g, n), dtype=int), np.zeros((g, n), dtype=int)
+        valid, gripper = np.zeros((g, n, l), dtype=bool), np.zeros((g, n, l))
+        for i, traj in enumerate(trajectories):
+            k, t = traj.num_chunks, min(len(traj.gripper), traj.num_chunks * l)
+            obs[i, :k], actions[i, :k] = traj.observations, traj.actions
+            ids[i, :k], chunk_indices[i, :k] = phase_ids(traj.labels), traj.chunk_indices
+            valid[i].reshape(-1)[:t] = True
+            gripper[i].reshape(-1)[:t] = traj.gripper[:t]
+        return cls(obs, actions, ids, valid,
+                   np.array([t.reward for t in trajectories], dtype=float),
+                   gripper, np.array([t.trajectory_id for t in trajectories]),
+                   chunk_indices, epsilon)
+
     @property
-    def rewards(self) -> np.ndarray:
-        return np.array([t.reward for t in self.trajectories], dtype=float)
+    def trajectories(self) -> list[ChunkedTrajectory]:
+        """Per-trajectory view without padding, for trace writing and tests."""
+        chunks, ids = self.chunk_mask.sum(axis=1).tolist(), self.phase_ids.tolist()
+        return [
+            ChunkedTrajectory(
+                observations=self.observations[i, :k], actions=self.actions[i, :k],
+                gripper=self.gripper[i, :k][self.valid[i, :k]],
+                labels=[PHASES[c] for c in ids[i][:k]], reward=reward,
+                chunk_indices=self.chunk_indices[i, :k], trajectory_id=tid)
+            for i, (k, reward, tid) in enumerate(
+                zip(chunks, self.rewards.tolist(), self.trajectory_ids.tolist()))
+        ]
+
+    @property
+    def chunk_mask(self) -> np.ndarray:
+        """(G, N): chunks holding at least one real timestep."""
+        return self.valid.any(axis=2)
 
     @property
     def reward_variance(self) -> float:
@@ -105,10 +177,6 @@ class GaussianChunkPolicy:
         if self.weights.shape[1] != self.chunk_len * self.action_dim:
             raise ValueError("weights must map features to chunk_len * action_dim means")
 
-    @property
-    def num_features(self) -> int:
-        return self.weights.shape[0]
-
     def mean(self, obs: np.ndarray) -> np.ndarray:
         """Flattened action mean(s); obs may be a single (F,) vector or a
         batch (..., F)."""
@@ -123,13 +191,7 @@ class GaussianChunkPolicy:
 
     def log_prob(self, obs: np.ndarray, actions: np.ndarray) -> float:
         """Log density of a factorized Gaussian over all L*D action entries."""
-        delta = np.asarray(actions, dtype=float).reshape(-1) - self.mean(obs)
-        m = delta.size
-        return float(
-            -0.5 * np.dot(delta, delta) / self.sigma**2
-            - m * np.log(self.sigma)
-            - 0.5 * m * np.log(2.0 * np.pi)
-        )
+        return self.logprob_grad(obs, actions)[0]
 
     def logprob_grad(self, obs: np.ndarray, actions: np.ndarray):
         """(log probability, gradient wrt weights) for one chunk.
@@ -139,12 +201,8 @@ class GaussianChunkPolicy:
         obs = np.asarray(obs, dtype=float)
         delta = np.asarray(actions, dtype=float).reshape(-1) - self.mean(obs)
         grad = np.outer(obs, delta / self.sigma**2)
-        m = delta.size
-        logp = (
-            -0.5 * np.dot(delta, delta) / self.sigma**2
-            - m * np.log(self.sigma)
-            - 0.5 * m * np.log(2.0 * np.pi)
-        )
+        logp = (-0.5 * np.dot(delta, delta) / self.sigma**2
+                - delta.size * (np.log(self.sigma) + 0.5 * np.log(2.0 * np.pi)))
         return float(logp), grad
 
     def copy(self) -> "GaussianChunkPolicy":
@@ -152,75 +210,58 @@ class GaussianChunkPolicy:
                                    self.chunk_len, self.action_dim)
 
 
-def _stack_chunks(group: RolloutGroup):
-    """Flatten a group into (obs, actions, advantages, labels) chunk arrays."""
-    obs, acts, advs, labels = [], [], [], []
-    for traj, a_i in zip(group.trajectories, group.advantages):
-        for k in range(traj.num_chunks):
-            obs.append(traj.observations[k])
-            acts.append(traj.actions[k].reshape(-1))
-            advs.append(a_i)
-            labels.append(traj.labels[k])
-    if not obs:
-        return None
-    return np.array(obs), np.array(acts), np.array(advs), labels
+def _deltas(group: RolloutGroup, policy: GaussianChunkPolicy) -> np.ndarray:
+    """(G, N, L*D) action residuals a - mu, zero at padded timesteps."""
+    g, n, l, d = group.actions.shape
+    mean = (group.observations.reshape(g * n, -1) @ policy.weights).reshape(g, n, l, d)
+    return ((group.actions - mean) * group.valid[..., None]).reshape(g, n, l * d)
+
+
+def _loss_grad(group: RolloutGroup, policy: GaussianChunkPolicy,
+               chunk_scale=None) -> np.ndarray:
+    """-(1/G) sum_{i,k} w_ik A_i dlogpi(a_ik|s_ik)/dtheta, flattened, as one
+    contraction over the chunk axes; w_ik = chunk_scale (default 1)."""
+    weight = group.advantages[:, None]
+    if chunk_scale is not None:
+        weight = weight * chunk_scale
+    f = group.observations.shape[-1]
+    obs = (group.observations * weight[..., None]).reshape(-1, f)
+    delta = _deltas(group, policy) / policy.sigma**2
+    grad = obs.T @ delta.reshape(obs.shape[0], -1)
+    return -grad.reshape(-1) / group.group_size
 
 
 def _score_terms(group: RolloutGroup, policy: GaussianChunkPolicy):
-    """Per-chunk advantage-weighted score terms A_i * dlogpi/dtheta, flattened
-    to (M, F*L*D), plus the chunk phase labels."""
-    stacked = _stack_chunks(group)
-    if stacked is None:
-        return np.zeros((0, policy.weights.size)), []
-    obs, acts, advs, labels = stacked
-    delta = (acts - obs @ policy.weights) / policy.sigma**2  # (M, L*D)
-    scores = obs[:, :, None] * delta[:, None, :]  # (M, F, L*D)
-    terms = advs[:, None] * scores.reshape(len(labels), -1)
-    return terms, labels
+    """Per-chunk advantage-weighted score terms A_i * dlogpi/dtheta of the
+    real chunks, flattened to (M, F*L*D), plus their phase ids (M,)."""
+    delta = _deltas(group, policy) / policy.sigma**2
+    scores = group.observations[..., None] * delta[..., None, :]  # (G, N, F, L*D)
+    terms = group.advantages[:, None, None, None] * scores
+    real = group.chunk_mask
+    return terms[real].reshape(int(real.sum()), -1), group.phase_ids[real]
 
 
 def full_loss(group: RolloutGroup, policy: GaussianChunkPolicy) -> float:
-    """Value of the group objective -(1/G) sum_i A_i sum_k log pi(a_k|s_k)."""
-    total = 0.0
-    for traj, a_i in zip(group.trajectories, group.advantages):
-        for k in range(traj.num_chunks):
-            total += a_i * policy.log_prob(traj.observations[k], traj.actions[k])
-    return -total / group.group_size
+    """Value of the group objective -(1/G) sum_i A_i sum_k log pi(a_k|s_k),
+    over real timesteps only."""
+    delta = _deltas(group, policy)
+    entries = group.valid.sum(axis=2) * group.actions.shape[-1]  # (G, N)
+    logp = (-0.5 * (delta**2).sum(axis=2) / policy.sigma**2
+            - entries * (np.log(policy.sigma) + 0.5 * np.log(2.0 * np.pi)))
+    return -float(group.advantages @ logp.sum(axis=1)) / group.group_size
 
 
-def full_loss_grad(group: RolloutGroup, policy: GaussianChunkPolicy,
-                   old_policy: GaussianChunkPolicy = None,
-                   clip_ratio: float = None) -> np.ndarray:
+def full_loss_grad(group: RolloutGroup, policy: GaussianChunkPolicy) -> np.ndarray:
     """Gradient of the group objective -E_i[sum_k A_i log pi(a|s)] wrt the
-    policy weights, flattened.
-
-    With clip_ratio set, applies PPO-style ratio clipping against old_policy:
-    clipped chunks contribute zero gradient.
-    """
-    if clip_ratio is None:
-        terms, _ = _score_terms(group, policy)
-        return -terms.sum(axis=0) / group.group_size
-    if old_policy is None:
-        raise ValueError("clip_ratio requires an old_policy for the ratio")
-    grad = np.zeros(policy.weights.size)
-    for traj, a_i in zip(group.trajectories, group.advantages):
-        for k in range(traj.num_chunks):
-            obs, act = traj.observations[k], traj.actions[k]
-            logp, g = policy.logprob_grad(obs, act)
-            ratio = np.exp(logp - old_policy.log_prob(obs, act))
-            surrogate = ratio * a_i
-            clipped = np.clip(ratio, 1.0 - clip_ratio, 1.0 + clip_ratio) * a_i
-            if surrogate <= clipped:  # unclipped branch is active
-                grad -= a_i * ratio * g.reshape(-1)
-    return grad / group.group_size
+    policy weights, flattened."""
+    return _loss_grad(group, policy)
 
 
 def masked_loss_grad(compacted: RolloutGroup, policy: GaussianChunkPolicy) -> np.ndarray:
     """Gradient of the masked objective: same form as full_loss_grad over the
     selected chunks only, with no 1/p_c importance weights. Normalization uses
     the source group size carried through shrinking."""
-    terms, _ = _score_terms(compacted, policy)
-    return -terms.sum(axis=0) / compacted.group_size
+    return _loss_grad(compacted, policy)
 
 
 def reweighted_loss_grad(compacted: RolloutGroup, policy: GaussianChunkPolicy,
@@ -228,12 +269,8 @@ def reweighted_loss_grad(compacted: RolloutGroup, policy: GaussianChunkPolicy,
     """Importance-weighted unbiased counterpart of masked_loss_grad: each
     selected chunk is scaled by 1 / p_phase. Used for variance comparisons,
     not as the training update."""
-    grad = np.zeros(policy.weights.size)
-    for traj, a_i in zip(compacted.trajectories, compacted.advantages):
-        for k in range(traj.num_chunks):
-            _, g = policy.logprob_grad(traj.observations[k], traj.actions[k])
-            grad -= a_i * g.reshape(-1) / keep_probs[traj.labels[k]]
-    return grad / compacted.group_size
+    probs = np.array([keep_probs[c] for c in PHASES])
+    return _loss_grad(compacted, policy, 1.0 / probs[compacted.phase_ids])
 
 
 @dataclass
@@ -265,16 +302,16 @@ class PhaseGradientStats:
 def phase_gradient_stats(group: RolloutGroup, policy: GaussianChunkPolicy) -> PhaseGradientStats:
     """Phase-wise decomposition of the group gradient plus per-phase scalar
     variance of the advantage-weighted score terms."""
-    terms, labels = _score_terms(group, policy)
+    terms, ids = _score_terms(group, policy)
+    onehot = (ids[:, None] == np.arange(len(PHASES))).astype(float)  # (M, P)
+    counts = onehot.sum(axis=0)
+    means = (onehot.T @ terms) / np.maximum(counts, 1.0)[:, None]
+    sq = onehot.T @ ((terms - means[ids]) ** 2).sum(axis=1)
     stats = PhaseGradientStats(group_size=group.group_size)
-    for phase in set(labels):
-        idx = [j for j, c in enumerate(labels) if c is phase]
-        block = terms[idx]
-        stats.mean_scores[phase] = block.mean(axis=0)
-        stats.counts[phase] = len(idx)
-        if len(idx) >= 2:
-            centered = block - block.mean(axis=0)
-            stats.variances[phase] = float(
-                (centered**2).sum() / (len(idx) - 1)
-            )
+    for k in np.flatnonzero(counts):
+        phase, n = PHASES[k], int(counts[k])
+        stats.mean_scores[phase] = means[k]
+        stats.counts[phase] = n
+        if n >= 2:
+            stats.variances[phase] = float(sq[k] / (n - 1))
     return stats

@@ -31,8 +31,14 @@ PHASE_PRIORITY = (
     PhaseLabel.TAIL,
 )
 
-# Canonical ordering used for arrays indexed by phase.
+# Canonical ordering used for arrays indexed by phase: a phase id is an
+# index into PHASES.
 PHASES = PHASE_PRIORITY
+
+
+def phase_ids(labels) -> np.ndarray:
+    """Integer phase ids (indices into PHASES) of a sequence of labels."""
+    return np.array([PHASES.index(c) for c in labels], dtype=int)
 
 
 @dataclass(frozen=True)
@@ -78,12 +84,12 @@ class GripperTrace:
 def gripper_close_fraction(trace: GripperTrace) -> np.ndarray:
     """Mean close command per chunk; a trailing partial chunk averages over
     its actual timesteps."""
-    length = trace.chunk_len
-    commands = trace.commands
-    return np.array([
-        commands[j * length:(j + 1) * length].mean()
-        for j in range(trace.num_chunks)
-    ])
+    length, commands = trace.chunk_len, trace.commands
+    full = commands.size // length
+    fractions = commands[:full * length].reshape(full, length).mean(axis=1)
+    if full * length < commands.size:
+        fractions = np.append(fractions, commands[full * length:].mean())
+    return fractions
 
 
 def find_sustained_intervals(g_f, threshold: float) -> list[tuple[int, int]]:
@@ -92,18 +98,8 @@ def find_sustained_intervals(g_f, threshold: float) -> list[tuple[int, int]]:
     g_f = np.asarray(g_f, dtype=float)
     if np.any(g_f < 0.0) or np.any(g_f > 1.0):
         raise ValueError("close fractions must lie in [0, 1]")
-    closed = g_f >= threshold
-    intervals = []
-    start = None
-    for j, flag in enumerate(closed):
-        if flag and start is None:
-            start = j
-        elif not flag and start is not None:
-            intervals.append((start, j - 1))
-            start = None
-    if start is not None:
-        intervals.append((start, len(closed) - 1))
-    return intervals
+    edges = np.flatnonzero(np.diff(np.concatenate([[0], g_f >= threshold, [0]])))
+    return list(zip(edges[::2].tolist(), (edges[1::2] - 1).tolist()))
 
 
 def label_phases(g_f, cfg: LabelingConfig = LabelingConfig()) -> list[PhaseLabel]:
@@ -124,30 +120,21 @@ def label_phases(g_f, cfg: LabelingConfig = LabelingConfig()) -> list[PhaseLabel
     only the active-grip and approach rules can fire.
     """
     g_f = np.asarray(g_f, dtype=float)
-    n = g_f.size
     intervals = find_sustained_intervals(g_f, cfg.sustained_close_threshold)
-    labels = [PhaseLabel.APPROACH] * n
-    w = cfg.window_len
-
+    j, w = np.arange(g_f.size), cfg.window_len
+    below_grip = g_f < cfg.active_grip_threshold
+    labels = np.full(g_f.size, PhaseLabel.APPROACH, dtype=object)
+    # Each assignment below overrides the previous ones, implementing the
+    # priority ordering from lowest to highest.
     if intervals:
-        last_end = intervals[-1][1]
-        for j in range(min(last_end + w + 1, n), n):
-            if g_f[j] < cfg.pre_grasp_low:
-                labels[j] = PhaseLabel.TAIL
-    # Each pass below overrides the previous ones, implementing the priority
-    # ordering from lowest to highest.
+        labels[(j > intervals[-1][1] + w) & (g_f < cfg.pre_grasp_low)] = PhaseLabel.TAIL
     for _, end in intervals:
-        for j in range(end + 1, min(end + w + 1, n)):
-            if g_f[j] < cfg.active_grip_threshold:
-                labels[j] = PhaseLabel.RELEASE_RAMP
+        labels[(j > end) & (j <= end + w) & below_grip] = PhaseLabel.RELEASE_RAMP
     for start, _ in intervals:
-        for j in range(max(start - w, 0), start):
-            if cfg.pre_grasp_low <= g_f[j] < cfg.active_grip_threshold:
-                labels[j] = PhaseLabel.PRE_GRASP
-    for j in range(n):
-        if g_f[j] >= cfg.active_grip_threshold:
-            labels[j] = PhaseLabel.ACTIVE_GRIP
-    return labels
+        labels[(j >= start - w) & (j < start) & below_grip
+               & (g_f >= cfg.pre_grasp_low)] = PhaseLabel.PRE_GRASP
+    labels[~below_grip] = PhaseLabel.ACTIVE_GRIP
+    return labels.tolist()
 
 
 def label_trace(trace: GripperTrace, cfg: LabelingConfig = LabelingConfig()) -> list[PhaseLabel]:

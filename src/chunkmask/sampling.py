@@ -7,11 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grpo import ChunkedTrajectory, RolloutGroup
-
-# Guards imported traces with corrupted (denormal) probabilities; weights are
-# still required to be strictly positive.
-_WEIGHT_CLAMP = 1e-12
+from .grpo import RolloutGroup
 
 
 @dataclass(frozen=True)
@@ -50,7 +46,6 @@ def weighted_sample_without_replacement(weights, m: int, rng,
         raise ValueError("sample size must be >= 1")
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
-    weights = np.maximum(weights, _WEIGHT_CLAMP)
     m = min(m, weights.size)
     keys = rng.exponential(size=weights.size) / weights
     selected = np.argpartition(keys, m - 1)[:m]
@@ -79,32 +74,37 @@ def inclusion_probabilities(weights, m: int) -> np.ndarray:
     return probs
 
 
-def shrink_batch(group: RolloutGroup, masks: list[SelectionMask]) -> RolloutGroup:
-    """Compact a group to its selected chunks.
+def weighted_sample_rows(weights, m: int, rngs) -> np.ndarray:
+    """Row-wise weighted_sample_without_replacement: row r of weights (R, N)
+    draws its keys from rngs[r], and one row-wise partition picks the
+    min(m, N) smallest keys of every row. Returns sorted indices (R, min(m, N));
+    row r equals weighted_sample_without_replacement(weights[r], m, rngs[r])."""
+    weights = np.asarray(weights, dtype=float)
+    m = min(m, weights.shape[1])
+    keys = np.stack([rng.exponential(size=weights.shape[1]) for rng in rngs]) / weights
+    return np.sort(np.argpartition(keys, m - 1, axis=1)[:, :m], axis=1)
 
-    Every retained chunk keeps its observation, actions, phase label,
-    original chunk index, and the trajectory's advantage; the compacted group
-    remembers the source group size so loss normalization is unchanged.
+
+def shrink_batch(group: RolloutGroup, indices) -> RolloutGroup:
+    """Compact a group to its selected chunks, gathering along the chunk axis:
+    row i of indices (G, m) holds the chunk positions kept from trajectory i.
+
+    Every retained chunk keeps its observation, actions, validity, gripper
+    commands, phase id and original chunk index, and every trajectory its
+    reward and advantage; the compacted group remembers the source group size
+    so loss normalization is unchanged.
     """
-    if len(masks) != len(group.trajectories):
-        raise ValueError("need exactly one mask per trajectory")
-    compacted = []
-    for traj, mask in zip(group.trajectories, masks):
-        if mask.indices.size and mask.indices[-1] >= traj.num_chunks:
-            raise ValueError(
-                f"mask for trajectory {mask.trajectory_id} references chunk "
-                f"{int(mask.indices[-1])} out of {traj.num_chunks}"
-            )
-        idx = mask.indices
-        compacted.append(ChunkedTrajectory(
-            observations=traj.observations[idx],
-            actions=traj.actions[idx],
-            gripper=traj.gripper,
-            labels=[traj.labels[k] for k in idx],
-            reward=traj.reward,
-            chunk_indices=traj.chunk_indices[idx],
-            trajectory_id=traj.trajectory_id,
-        ))
-    return RolloutGroup(trajectories=compacted, epsilon=group.epsilon,
-                        advantages=group.advantages.copy(),
-                        group_size=group.group_size)
+    idx = np.asarray(indices, dtype=int)
+    g, n = group.phase_ids.shape
+    if idx.ndim != 2 or idx.shape[0] != g:
+        raise ValueError("need exactly one row of chunk indices per trajectory")
+    rows = np.arange(g)[:, None]
+    if idx.size and (idx.min() < 0 or idx.max() >= n or not group.chunk_mask[rows, idx].all()):
+        raise ValueError(f"chunk indices {idx.tolist()} reference chunks outside "
+                         "the trajectories")
+    return RolloutGroup(
+        observations=group.observations[rows, idx], actions=group.actions[rows, idx],
+        phase_ids=group.phase_ids[rows, idx], valid=group.valid[rows, idx],
+        rewards=group.rewards, gripper=group.gripper[rows, idx],
+        trajectory_ids=group.trajectory_ids, chunk_indices=group.chunk_indices[rows, idx],
+        epsilon=group.epsilon, advantages=group.advantages, group_size=group.group_size)

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grpo import RolloutGroup
-from .phases import PHASES, PhaseLabel
+from .phases import PHASES
 
 
 class GroupCollapsedError(ValueError):
@@ -23,46 +23,40 @@ class PhaseScoreReport:
     of its chunks; otherwise it is flagged skipped.
     """
 
-    scores: dict = field(default_factory=dict)          # phase -> C_c
-    success_chunks: dict = field(default_factory=dict)  # phase -> chunk count
-    failure_chunks: dict = field(default_factory=dict)
+    scores: dict = field(default_factory=dict)  # phase -> C_c
     skipped: set = field(default_factory=set)
 
 
-def compute_phase_scores(group: RolloutGroup, labels=None) -> PhaseScoreReport:
+def compute_phase_scores(group: RolloutGroup) -> PhaseScoreReport:
     """Success-failure action variance per phase.
 
     Pools the per-timestep action vectors of every phase-c chunk across
     successful trajectories, likewise across failed ones, and scores the
     phase with the Euclidean norm of the difference of the two mean vectors.
-
-    labels optionally overrides the per-trajectory labels (list of lists,
-    aligned with the group's trajectories).
+    Only real timesteps are pooled. Rewards are binary (trace records are
+    validated so), and a trajectory counts as a success when its reward is 1.
     """
     if group.reward_variance == 0.0:
         raise GroupCollapsedError("group rewards have zero variance")
-    if labels is None:
-        labels = [t.labels for t in group.trajectories]
+    p = len(PHASES)
+    g, n, l, d = group.actions.shape
+    # One bin per (outcome, phase) pair: failures 0..P-1, successes P..2P-1.
+    bins = (group.phase_ids + p * (group.rewards == 1.0)[:, None]).reshape(-1)
+    onehot_t = (np.arange(2 * p)[:, None] == bins).astype(float)  # (2P, G*N)
+    valid = group.valid.reshape(g * n, l)
+    real = (group.actions * group.valid[..., None]).reshape(g * n, l * d)
+    sums = (onehot_t @ real).reshape(2 * p, l, d).sum(axis=1)  # (2P, D)
+    steps = (onehot_t @ valid).sum(axis=1)                    # (2P,)
+    chunks = onehot_t @ valid.any(axis=1)                      # (2P,)
 
-    pools = {}  # phase -> {True/False: [actions]}, counts
     report = PhaseScoreReport()
-    for traj, traj_labels in zip(group.trajectories, labels):
-        success = traj.reward > 0.5
-        for k in range(traj.num_chunks):
-            phase = traj_labels[k]
-            entry = pools.setdefault(phase, {True: [], False: [], "n": {True: 0, False: 0}})
-            entry[success].append(traj.actions[k].reshape(-1, traj.actions.shape[-1]))
-            entry["n"][success] += 1
-
-    for phase, entry in pools.items():
-        report.success_chunks[phase] = entry["n"][True]
-        report.failure_chunks[phase] = entry["n"][False]
-        if entry["n"][True] == 0 or entry["n"][False] == 0:
+    for k in np.flatnonzero(chunks[:p] + chunks[p:]):
+        phase, neg, pos = PHASES[k], k, p + k
+        if chunks[pos] == 0 or chunks[neg] == 0:
             report.skipped.add(phase)
             continue
-        mu_pos = np.concatenate(entry[True]).mean(axis=0)
-        mu_neg = np.concatenate(entry[False]).mean(axis=0)
-        report.scores[phase] = float(np.linalg.norm(mu_pos - mu_neg))
+        gap = sums[pos] / steps[pos] - sums[neg] / steps[neg]
+        report.scores[phase] = float(np.linalg.norm(gap))
     return report
 
 
@@ -74,7 +68,6 @@ class PhaseScoreState:
 
     refresh_window: int = 5
     floor: float = 0.1
-    phases: tuple = PHASES
     buffers: dict = None
     keep_probs: dict = None  # None until the first refresh
     steps_since_refresh: int = 0
@@ -85,7 +78,7 @@ class PhaseScoreState:
         if not (0.0 < self.floor <= 1.0):
             raise ValueError("floor must lie in (0, 1]")
         if self.buffers is None:
-            self.buffers = {c: [] for c in self.phases}
+            self.buffers = {c: [] for c in PHASES}
 
     def append_scores(self, report: PhaseScoreReport) -> None:
         """Append each scored phase's value to its buffer; skipped phases get
@@ -110,25 +103,25 @@ class PhaseScoreState:
         floored at `floor`. If every S_c is zero the previous probabilities
         are retained.
         """
-        sums = {c: float(sum(self.buffers[c])) for c in self.phases}
+        sums = {c: float(sum(self.buffers[c])) for c in PHASES}
         total = sum(sums.values())
         if total > 0.0:
-            shares = {c: sums[c] / total for c in self.phases}
+            shares = {c: sums[c] / total for c in PHASES}
             top = max(shares.values())
             self.keep_probs = {
-                c: max(self.floor, shares[c] / top) for c in self.phases
+                c: max(self.floor, shares[c] / top) for c in PHASES
             }
         elif self.keep_probs is None:
             # Degenerate first refresh with no signal anywhere: fall back to
             # keeping everything until scores arrive.
-            self.keep_probs = {c: 1.0 for c in self.phases}
-        self.buffers = {c: [] for c in self.phases}
+            self.keep_probs = {c: 1.0 for c in PHASES}
+        self.buffers = {c: [] for c in PHASES}
         self.steps_since_refresh = 0
         return self.keep_probs
 
-    def chunk_weights(self, labels: list[PhaseLabel]) -> np.ndarray:
-        """Per-chunk sampling weights: each chunk inherits its phase's keep
-        probability. Requires a prior refresh."""
+    def chunk_weights(self, phase_ids) -> np.ndarray:
+        """Per-chunk sampling weights, shaped like phase_ids: each chunk
+        inherits its phase's keep probability. Requires a prior refresh."""
         if self.keep_probs is None:
             raise ValueError("keep probabilities are undefined before the first refresh")
-        return np.array([self.keep_probs[c] for c in labels])
+        return np.array([self.keep_probs[c] for c in PHASES])[phase_ids]

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grpo import ChunkedTrajectory, GaussianChunkPolicy, RolloutGroup, group_advantages
-from .phases import PHASES, LabelingConfig, PhaseLabel, label_phases
+from .grpo import ChunkedTrajectory, GaussianChunkPolicy, RolloutGroup, _score_terms
+from .phases import PHASES, LabelingConfig, PhaseLabel, label_phases, phase_ids
 
 _DEFAULT_TARGETS = {
     PhaseLabel.ACTIVE_GRIP: (0.9, -0.4),
@@ -82,6 +82,10 @@ class ToyTaskSpec:
     obs_noise: float = 0.003
     gripper_profile: np.ndarray = None
     labeling: LabelingConfig = field(default_factory=LabelingConfig)
+    # Phase ids (N,) and their one-hot rows (N, F) of the scripted profile,
+    # labelled once at construction: the layout is the same for every rollout.
+    layout_ids: np.ndarray = field(init=False, repr=False, compare=False)
+    layout_onehot: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.gripper_profile is None:
@@ -89,8 +93,9 @@ class ToyTaskSpec:
         self.gripper_profile = np.asarray(self.gripper_profile, dtype=float)
         if self.gripper_profile.size != self.chunks_per_traj:
             raise ValueError("gripper profile length must equal chunks_per_traj")
-        labels = self.phase_layout()
-        if set(labels) != set(PHASES):
+        self.layout_ids = phase_ids(label_phases(self.gripper_profile, self.labeling))
+        self.layout_onehot = np.eye(len(PHASES))[self.layout_ids]
+        if np.unique(self.layout_ids).size != len(PHASES):
             raise ValueError("gripper profile must produce all five phases")
         for c in self.critical_phases:
             if c not in self.targets:
@@ -99,11 +104,11 @@ class ToyTaskSpec:
     def phase_layout(self) -> list[PhaseLabel]:
         """Per-chunk phase labels of the scripted profile (same for every
         rollout)."""
-        return label_phases(self.gripper_profile, self.labeling)
+        return [PHASES[k] for k in self.layout_ids]
 
     def phase_counts(self) -> dict:
-        layout = self.phase_layout()
-        return {c: layout.count(c) for c in PHASES}
+        counts = np.bincount(self.layout_ids, minlength=len(PHASES))
+        return {c: int(counts[k]) for k, c in enumerate(PHASES)}
 
     def gripper_commands(self) -> np.ndarray:
         """Per-timestep close commands: each chunk holds its fraction
@@ -145,16 +150,6 @@ def initial_policy(spec: ToyTaskSpec, sigma: float = 0.3,
                                action_dim=spec.action_dim)
 
 
-def _phase_arrays(spec: ToyTaskSpec):
-    layout = spec.phase_layout()
-    onehot = np.zeros((spec.chunks_per_traj, spec.num_features))
-    noise_scale = np.empty(spec.chunks_per_traj)
-    for k, phase in enumerate(layout):
-        onehot[k, spec.phase_index(phase)] = 1.0
-        noise_scale[k] = spec.exec_noise[phase]
-    return layout, onehot, noise_scale
-
-
 def generate_batch(spec: ToyTaskSpec, policy: GaussianChunkPolicy, num: int,
                    rng: np.random.Generator, greedy: bool = False):
     """Vectorized rollout generation.
@@ -162,23 +157,23 @@ def generate_batch(spec: ToyTaskSpec, policy: GaussianChunkPolicy, num: int,
     Returns (observations (num, N, F), actions (num, N, L, D),
     rewards (num,), distances {phase: (num,)}).
     """
-    layout, onehot, noise_scale = _phase_arrays(spec)
     n, f = spec.chunks_per_traj, spec.num_features
     l, d = spec.chunk_len, spec.action_dim
 
-    obs = onehot[None] + spec.obs_noise * rng.standard_normal((num, n, f))
+    obs = spec.layout_onehot[None] + spec.obs_noise * rng.standard_normal((num, n, f))
     mean = obs @ policy.weights  # (num, N, L*D)
     if greedy:
         actions = mean
     else:
         noise = rng.standard_normal(mean.shape)
+        noise_scale = np.array([spec.exec_noise[c] for c in PHASES])[spec.layout_ids]
         actions = mean + policy.sigma * noise_scale[None, :, None] * noise
     actions = actions.reshape(num, n, l, d)
 
     rewards = np.ones(num)
     distances = {}
     for phase in spec.critical_phases:
-        idx = [k for k, c in enumerate(layout) if c is phase]
+        idx = np.flatnonzero(spec.layout_ids == spec.phase_index(phase))
         realized = actions[:, idx].mean(axis=(1, 2))  # (num, D)
         jitter = spec.target_jitter * rng.standard_normal((num, d))
         dist = np.linalg.norm(realized - spec.targets[phase][None] - jitter, axis=1)
@@ -207,18 +202,15 @@ def generate_rollout(spec: ToyTaskSpec, policy: GaussianChunkPolicy,
 def generate_group(spec: ToyTaskSpec, policy: GaussianChunkPolicy,
                    group_size: int, rng, epsilon: float = 1e-6) -> RolloutGroup:
     """A rollout group for one task prompt."""
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)  # a Generator passes through unchanged
     obs, actions, rewards, _ = generate_batch(spec, policy, group_size, rng)
-    layout = spec.phase_layout()
-    gripper = spec.gripper_commands()
-    trajectories = [
-        ChunkedTrajectory(observations=obs[i], actions=actions[i],
-                          gripper=gripper, labels=layout,
-                          reward=float(rewards[i]), trajectory_id=i)
-        for i in range(group_size)
-    ]
-    return RolloutGroup(trajectories=trajectories, epsilon=epsilon)
+    n, l = spec.chunks_per_traj, spec.chunk_len
+    return RolloutGroup(
+        observations=obs, actions=actions,
+        phase_ids=np.broadcast_to(spec.layout_ids, (group_size, n)),
+        valid=np.ones((group_size, n, l), dtype=bool), rewards=rewards,
+        gripper=np.broadcast_to(spec.gripper_profile[:, None], (group_size, n, l)),
+        epsilon=epsilon)
 
 
 def ground_truth_variance(spec: ToyTaskSpec, policy: GaussianChunkPolicy,
@@ -232,29 +224,15 @@ def ground_truth_variance(spec: ToyTaskSpec, policy: GaussianChunkPolicy,
     """
     if samples < 1000:
         raise ValueError("oracle needs at least 1000 rollouts")
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
-    layout, onehot, noise_scale = _phase_arrays(spec)
-    n = spec.chunks_per_traj
-
-    sq_norms = {c: [] for c in set(layout)}  # ||term||^2 accumulators
-    term_sums = {c: None for c in set(layout)}
-    counts = {c: 0 for c in set(layout)}
-    terms_by_phase = {c: [] for c in set(layout)}
-
-    groups = samples // group_size
-    for _ in range(groups):
-        obs, actions, rewards, _ = generate_batch(spec, policy, group_size, rng)
-        if rewards.min() == rewards.max():
+    rng = np.random.default_rng(rng)  # a Generator passes through unchanged
+    terms_by_phase = {c: [] for c in PHASES}
+    for _ in range(samples // group_size):
+        group = generate_group(spec, policy, group_size, rng)
+        if group.reward_variance == 0.0:
             continue
-        advantages = group_advantages(rewards)
-        flat_actions = actions.reshape(group_size, n, -1)
-        delta = (flat_actions - obs @ policy.weights) / policy.sigma**2
-        # (G, N, F, L*D) score outer products, advantage-weighted.
-        terms = advantages[:, None, None, None] * obs[..., None] * delta[:, :, None, :]
-        terms = terms.reshape(group_size, n, -1)
-        for k, phase in enumerate(layout):
-            terms_by_phase[phase].append(terms[:, k])
+        terms, ids = _score_terms(group, policy)
+        for k, phase in enumerate(PHASES):
+            terms_by_phase[phase].append(terms[ids == k])
 
     result = {}
     for phase, blocks in terms_by_phase.items():

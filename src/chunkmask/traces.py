@@ -51,6 +51,9 @@ class TraceRecord:
                 f"action array length {len(self.actions)} != T*D = {t * self.action_dim}")
         if self.labels is not None and len(self.labels) != n:
             raise TraceFormatError(line_number, "labels must cover every chunk")
+        if self.reward not in (0.0, 1.0):
+            raise TraceFormatError(
+                line_number, f"reward must be 0 (failure) or 1 (success), got {self.reward}")
 
     def to_json(self) -> str:
         payload = {
@@ -94,8 +97,11 @@ class TraceRecord:
     def to_trajectory(self, labeling: LabelingConfig = LabelingConfig()) -> ChunkedTrajectory:
         """Chunk the flat arrays; missing labels are recomputed from the
         gripper trace. A trailing partial chunk is zero-padded in the action
-        tensor but scored only through its real timesteps elsewhere."""
-        t = len(self.gripper)
+        tensor; the gripper trace keeps the real length T, from which
+        RolloutGroup.from_trajectories marks the padding invalid, so scores
+        and gradients see only the real timesteps."""
+        gripper = np.asarray(self.gripper, dtype=float)
+        t = gripper.size
         n = -(-t // self.chunk_len)
         actions = np.asarray(self.actions, dtype=float).reshape(t, self.action_dim)
         padded = np.zeros((n * self.chunk_len, self.action_dim))
@@ -104,12 +110,12 @@ class TraceRecord:
         if self.labels is not None:
             labels = [PhaseLabel(c) for c in self.labels]
         else:
-            trace = GripperTrace(np.asarray(self.gripper, dtype=float), self.chunk_len)
+            trace = GripperTrace(gripper, self.chunk_len)
             labels = label_phases(gripper_close_fraction(trace), labeling)
         return ChunkedTrajectory(
             observations=np.asarray(self.observations, dtype=float),
             actions=chunked,
-            gripper=np.asarray(self.gripper, dtype=float),
+            gripper=gripper,
             labels=labels,
             reward=self.reward,
             trajectory_id=self.trajectory_id,
@@ -170,5 +176,5 @@ def group_records(records) -> dict:
 def records_to_group(records, epsilon: float = 1e-6) -> RolloutGroup:
     if len(records) < 2:
         raise ValueError("a rollout group needs at least 2 trajectories")
-    return RolloutGroup(
-        trajectories=[r.to_trajectory() for r in records], epsilon=epsilon)
+    return RolloutGroup.from_trajectories(
+        [r.to_trajectory() for r in records], epsilon=epsilon)

@@ -8,10 +8,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grpo import GaussianChunkPolicy, full_loss_grad, masked_loss_grad
-from .phases import PHASES, PhaseLabel
-from .sampling import SelectionMask, shrink_batch, weighted_sample_without_replacement
-from .scores import GroupCollapsedError, PhaseScoreState, compute_phase_scores
+from .grpo import GaussianChunkPolicy, masked_loss_grad
+from .phases import PHASES
+from .sampling import shrink_batch, weighted_sample_rows
+# Imported for perfbench/tracing.py, which wraps it under this module's name.
+from .sampling import weighted_sample_without_replacement  # noqa: F401
+from .scores import PhaseScoreState, compute_phase_scores
 from .toyworld import ToyTaskSpec, generate_batch, generate_group, initial_policy
 
 MODES = ("pcm", "vanilla", "random_mask", "full_mask")
@@ -29,7 +31,6 @@ class TrainConfig:
     seed: int = 0
     eval_rollouts: int = 50
     policy_sigma: float = 0.3
-    clip_ratio: float = None
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -58,28 +59,26 @@ def _traj_rng(master_seed: int, step: int, traj: int) -> np.random.Generator:
 
 
 def _select_masks(mode, group, state: PhaseScoreState, budget, seed, step):
-    masks = []
-    for i, traj in enumerate(group.trajectories):
-        n = traj.num_chunks
-        m = min(budget, n)
-        rng = _traj_rng(seed, step, i)
-        if mode == "pcm":
-            weights = state.chunk_weights(traj.labels)
-            masks.append(weighted_sample_without_replacement(weights, m, rng, i))
-        elif mode == "random_mask":
-            idx = rng.choice(n, size=m, replace=False)
-            masks.append(SelectionMask(i, np.sort(idx), m))
-        elif mode == "full_mask":
-            top = max(state.keep_probs, key=state.keep_probs.get)
-            candidates = np.array([k for k, c in enumerate(traj.labels) if c is top])
+    """(G, m) sorted chunk indices per trajectory. Every trajectory draws from
+    its own (seed, step, trajectory) stream; the rows of a toyworld group
+    share one phase layout, so every row keeps the same number of chunks."""
+    g, n = group.phase_ids.shape
+    m = min(budget, n)
+    rngs = [_traj_rng(seed, step, i) for i in range(g)]
+    if mode == "pcm":
+        return weighted_sample_rows(state.chunk_weights(group.phase_ids), m, rngs)
+    if mode == "random_mask":
+        return np.sort([rng.choice(n, size=m, replace=False) for rng in rngs], axis=1)
+    if mode == "full_mask":
+        top = max(state.keep_probs, key=state.keep_probs.get)
+        rows = []
+        for ids, rng in zip(group.phase_ids, rngs):
+            candidates = np.flatnonzero(ids == PHASES.index(top))
             if candidates.size == 0:
                 candidates = np.arange(n)
-            take = min(m, candidates.size)
-            idx = rng.choice(candidates, size=take, replace=False)
-            masks.append(SelectionMask(i, np.sort(idx), take))
-        else:
-            raise ValueError(f"no masking rule for mode {mode}")
-    return masks
+            rows.append(rng.choice(candidates, size=min(m, candidates.size), replace=False))
+        return np.sort(rows, axis=1)
+    raise ValueError(f"no masking rule for mode {mode}")
 
 
 def evaluate(spec: ToyTaskSpec, policy: GaussianChunkPolicy, rollouts: int,
@@ -111,7 +110,6 @@ def train(config: TrainConfig, spec: ToyTaskSpec = None,
     if policy is None:
         policy = initial_policy(spec, sigma=config.policy_sigma)
     policy = policy.copy()
-    old_policy = policy.copy() if config.clip_ratio is not None else None
 
     state = PhaseScoreState(refresh_window=config.refresh_window,
                             floor=config.p_min)
@@ -155,22 +153,14 @@ def train(config: TrainConfig, spec: ToyTaskSpec = None,
             masks = _select_masks(config.mode, group, state, config.budget,
                                   config.seed, step)
             update_group = shrink_batch(group, masks)
-            alloc = {c: 0 for c in PHASES}
-            for traj in update_group.trajectories:
-                for c in traj.labels:
-                    alloc[c] += 1
-            step_metrics.allocation = {
-                c: alloc[c] / len(update_group.trajectories) for c in PHASES}
+            alloc = np.bincount(update_group.phase_ids.reshape(-1),
+                                minlength=len(PHASES)) / config.group_size
+            step_metrics.allocation = dict(zip(PHASES, alloc.tolist()))
 
-        if config.clip_ratio is not None:
-            grad = full_loss_grad(update_group, policy, old_policy,
-                                  config.clip_ratio)
-            old_policy = policy.copy()
-        else:
-            grad = masked_loss_grad(update_group, policy)
+        grad = masked_loss_grad(update_group, policy)
         policy.weights -= config.learning_rate * grad.reshape(policy.weights.shape)
 
-        used = sum(t.num_chunks for t in update_group.trajectories)
+        used = int(update_group.chunk_mask.sum())
         cumulative += used
         step_metrics.chunks_used = used
         step_metrics.cumulative_chunks = cumulative

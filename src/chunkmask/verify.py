@@ -22,7 +22,7 @@ from .allocation import (
     speedup_ratio,
 )
 from .grpo import _score_terms, full_loss, full_loss_grad, phase_gradient_stats
-from .phases import PHASES, PhaseLabel
+from .phases import PHASES
 from .sampling import inclusion_probabilities, weighted_sample_without_replacement
 from .toyworld import ToyTaskSpec, generate_group, initial_policy
 
@@ -190,16 +190,16 @@ def check_bias_bound(seed: int = 0, draws: int = 10000,
     if group is None:
         return CheckResult("bias_bound", False,
                            "could not draw a mixed-outcome toy group", {})
-    terms, labels = _score_terms(group, policy)
+    terms, ids = _score_terms(group, policy)
     full = -terms.sum(axis=0) / group.group_size
     stats = phase_gradient_stats(group, policy)
-    chunk_sizes = [t.num_chunks for t in group.trajectories]
+    chunk_sizes = group.chunk_mask.sum(axis=1).tolist()
 
     measured = {}
     for table in _BIAS_P_TABLES:
         probs = dict(zip(PHASES, table))
-        weights = np.array([probs[c] for c in labels])
-        counts = np.zeros(len(labels))
+        weights = np.asarray(table)[ids]
+        counts = np.zeros(len(ids))
         offsets = np.cumsum([0] + chunk_sizes)
         for j in range(draws):
             for i, n in enumerate(chunk_sizes):
@@ -245,7 +245,7 @@ def check_gradient_finite_difference(seed: int = 0, instances: int = 100,
                 reward=float(rewards[i]), trajectory_id=i)
             for i in range(g)
         ]
-        group = RolloutGroup(trajectories=trajectories)
+        group = RolloutGroup.from_trajectories(trajectories)
         grad = full_loss_grad(group, policy)
         eps = 1e-6
         fd = np.empty_like(grad)

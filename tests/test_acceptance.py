@@ -156,7 +156,7 @@ def test_criterion_06_signal_and_variance_concentration():
                     observations=np.ones((1, 1)), actions=np.full((1, 1, 1), action),
                     gripper=np.zeros(1), labels=[AG], reward=float(success),
                     trajectory_id=i))
-            group = RolloutGroup(trajs, epsilon=0.0)
+            group = RolloutGroup.from_trajectories(trajs, epsilon=0.0)
             v_c = phase_gradient_stats(group, policy1).variances[AG]
             c_c = compute_phase_scores(group).scores[AG]
             bound_ok &= v_c >= c_c**2 / (4.0 * sigma**2)
@@ -196,13 +196,13 @@ def test_criterion_09_masked_vs_reweighted_variance():
         if candidate.reward_variance > 0.0:
             group = candidate
             break
-    terms, labels = _score_terms(group, policy)
+    terms, ids = _score_terms(group, policy)
     probs = {AG: 1.0, PG: 0.87, RR: 0.1, AP: 0.1, TL: 0.1}
-    weights = np.array([probs[c] for c in labels])
+    weights = np.array([probs[c] for c in PHASES])[ids]
     n = spec.chunks_per_traj
     draws, budget = 10000, 12
 
-    selection = np.zeros((draws, len(labels)), dtype=bool)
+    selection = np.zeros((draws, len(ids)), dtype=bool)
     for j in range(draws):
         for i in range(10):
             mask = weighted_sample_without_replacement(

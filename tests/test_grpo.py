@@ -13,7 +13,7 @@ from chunkmask.grpo import (
     reweighted_loss_grad,
 )
 from chunkmask.phases import PHASES
-from chunkmask.sampling import SelectionMask, shrink_batch
+from chunkmask.sampling import shrink_batch
 
 
 class TestAdvantages:
@@ -48,13 +48,43 @@ def random_group(rng, g=4, n=5, f=3, l=2, d=2):
             reward=rewards[i],
             trajectory_id=i,
         ))
-    return RolloutGroup(trajectories)
+    return RolloutGroup.from_trajectories(trajectories)
 
 
 def random_policy(rng, f=3, l=2, d=2):
     return GaussianChunkPolicy(weights=rng.normal(size=(f, l * d)),
                                sigma=float(rng.uniform(0.4, 1.2)),
                                chunk_len=l, action_dim=d)
+
+
+class TestGroupLayout:
+    def test_ragged_trajectories_are_padded_and_masked(self):
+        rng = np.random.default_rng(11)
+        short = ChunkedTrajectory(rng.normal(size=(2, 3)), rng.normal(size=(2, 2, 2)),
+                                  np.zeros(3), [PHASES[0], PHASES[1]], 1.0, trajectory_id=7)
+        long = ChunkedTrajectory(rng.normal(size=(3, 3)), rng.normal(size=(3, 2, 2)),
+                                 np.zeros(6), [PHASES[2]] * 3, 0.0, trajectory_id=8)
+        group = RolloutGroup.from_trajectories([short, long])
+        assert group.actions.shape == (2, 3, 2, 2)
+        assert group.valid.tolist() == [[[True, True], [True, False], [False, False]],
+                                        [[True, True]] * 3]
+        assert group.phase_ids[:, :2].tolist() == [[0, 1], [2, 2]]
+        assert group.chunk_mask.sum(axis=1).tolist() == [2, 3]
+        back = group.trajectories
+        assert [t.num_chunks for t in back] == [2, 3]
+        assert [len(t.gripper) for t in back] == [3, 6]
+        assert back[0].labels == short.labels and back[1].trajectory_id == 8
+        assert np.array_equal(back[0].actions, short.actions)
+
+    def test_shrink_rejects_padded_chunks(self):
+        rng = np.random.default_rng(12)
+        trajs = [ChunkedTrajectory(rng.normal(size=(n, 3)), rng.normal(size=(n, 2, 2)),
+                                   np.zeros(2 * n), [PHASES[0]] * n, float(i), trajectory_id=i)
+                 for i, n in enumerate((1, 3))]
+        group = RolloutGroup.from_trajectories(trajs)
+        with pytest.raises(ValueError):
+            shrink_batch(group, np.array([[1], [1]]))
+        assert shrink_batch(group, np.array([[0], [2]])).chunk_indices.tolist() == [[0], [2]]
 
 
 class TestPolicy:
@@ -122,9 +152,7 @@ class TestGradients:
         rng = np.random.default_rng(5)
         group = random_group(rng)
         policy = random_policy(rng)
-        masks = [SelectionMask(i, np.arange(t.num_chunks), t.num_chunks)
-                 for i, t in enumerate(group.trajectories)]
-        small = shrink_batch(group, masks)
+        small = shrink_batch(group, np.tile(np.arange(5), (4, 1)))
         assert np.allclose(masked_loss_grad(small, policy),
                            full_loss_grad(group, policy), atol=1e-14)
 
@@ -132,9 +160,7 @@ class TestGradients:
         rng = np.random.default_rng(6)
         group = random_group(rng)
         policy = random_policy(rng)
-        masks = [SelectionMask(i, np.array([0, 1]), 2)
-                 for i in range(len(group.trajectories))]
-        small = shrink_batch(group, masks)
+        small = shrink_batch(group, np.tile([0, 1], (4, 1)))
         # Recompute by hand with explicit 1/G normalization.
         expected = np.zeros(policy.weights.size)
         for traj, a in zip(small.trajectories, small.advantages):
@@ -148,42 +174,13 @@ class TestGradients:
         rng = np.random.default_rng(7)
         group = random_group(rng)
         policy = random_policy(rng)
-        masks = [SelectionMask(i, np.arange(t.num_chunks), t.num_chunks)
-                 for i, t in enumerate(group.trajectories)]
-        small = shrink_batch(group, masks)
+        small = shrink_batch(group, np.tile(np.arange(5), (4, 1)))
         probs = {c: 1.0 for c in PHASES}
         assert np.allclose(reweighted_loss_grad(small, policy, probs),
                            full_loss_grad(group, policy))
         halved = {c: 0.5 for c in PHASES}
         assert np.allclose(reweighted_loss_grad(small, policy, halved),
                            2 * full_loss_grad(group, policy))
-
-    def test_clipping_zeroes_far_ratio_chunks(self):
-        rng = np.random.default_rng(8)
-        group = random_group(rng)
-        policy = random_policy(rng)
-        # Against itself every ratio is 1: clipping must not change anything.
-        assert np.allclose(
-            full_loss_grad(group, policy, old_policy=policy, clip_ratio=0.2),
-            full_loss_grad(group, policy))
-        # Single-chunk case where both branches are clipped: a positive-
-        # advantage chunk with ratio above 1 + clip, and a negative-advantage
-        # chunk with ratio below 1 - clip, must both contribute zero.
-        f, l, d = 3, 2, 2
-        new = GaussianChunkPolicy(np.zeros((f, l * d)), 0.5, l, d)
-        old = GaussianChunkPolicy(np.ones((f, l * d)), 0.5, l, d)
-        obs = np.array([1.0, 0.0, 0.0])
-        near_new = np.zeros((1, l, d))   # at the new mean -> ratio >> 1
-        near_old = np.ones((1, l, d))    # at the old mean -> ratio << 1
-        trajs = [
-            ChunkedTrajectory(obs[None], near_new, np.zeros(l),
-                              [PHASES[0]], 1.0, trajectory_id=0),
-            ChunkedTrajectory(obs[None], near_old, np.zeros(l),
-                              [PHASES[0]], 0.0, trajectory_id=1),
-        ]
-        group = RolloutGroup(trajs)
-        grad = full_loss_grad(group, new, old_policy=old, clip_ratio=0.2)
-        assert np.allclose(grad, 0.0)
 
 
 class TestPhaseVariance:
@@ -216,6 +213,6 @@ class TestPhaseVariance:
                               [PHASES[i]], float(i), trajectory_id=i)
             for i in range(2)
         ]
-        stats = phase_gradient_stats(RolloutGroup(trajs), policy)
+        stats = phase_gradient_stats(RolloutGroup.from_trajectories(trajs), policy)
         assert stats.variances == {}
         assert set(stats.mean_scores) == {PHASES[0], PHASES[1]}

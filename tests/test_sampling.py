@@ -86,14 +86,13 @@ def make_group():
         )
         for i in range(4)
     ]
-    return RolloutGroup(trajectories)
+    return RolloutGroup.from_trajectories(trajectories)
 
 
 class TestShrinkBatch:
     def test_retains_selected_chunk_fields(self):
         group = make_group()
-        masks = [SelectionMask(i, np.array([0, 2]), 2) for i in range(4)]
-        small = shrink_batch(group, masks)
+        small = shrink_batch(group, np.tile([0, 2], (4, 1)))
         for orig, kept in zip(group.trajectories, small.trajectories):
             assert np.array_equal(kept.observations, orig.observations[[0, 2]])
             assert np.array_equal(kept.actions, orig.actions[[0, 2]])
@@ -103,18 +102,16 @@ class TestShrinkBatch:
 
     def test_advantages_and_group_size_preserved(self):
         group = make_group()
-        masks = [SelectionMask(i, np.array([1]), 1) for i in range(4)]
-        small = shrink_batch(group, masks)
+        small = shrink_batch(group, np.ones((4, 1), dtype=int))
         assert np.array_equal(small.advantages, group.advantages)
         assert small.group_size == 4
 
     def test_mask_count_must_match(self):
         group = make_group()
         with pytest.raises(ValueError):
-            shrink_batch(group, [SelectionMask(0, np.array([0]), 1)])
+            shrink_batch(group, np.zeros((1, 1), dtype=int))
 
     def test_out_of_range_mask_rejected(self):
         group = make_group()
-        masks = [SelectionMask(i, np.array([7]), 1) for i in range(4)]
         with pytest.raises(ValueError):
-            shrink_batch(group, masks)
+            shrink_batch(group, np.full((4, 1), 7))

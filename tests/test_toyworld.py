@@ -121,3 +121,16 @@ class TestRollouts:
             assert traj.labels == spec.phase_layout()
             assert traj.reward in (0.0, 1.0)
         assert group.advantages.shape == (10,)
+
+    def test_layout_is_labelled_once_per_spec(self, monkeypatch):
+        import chunkmask.toyworld as toyworld
+
+        spec = ToyTaskSpec()
+        policy = initial_policy(spec)
+        calls = []
+        monkeypatch.setattr(toyworld, "label_phases",
+                            lambda *args: calls.append(args) or [])
+        group = generate_group(spec, policy, 4, 0)
+        generate_batch(spec, policy, 4, np.random.default_rng(0), greedy=True)
+        assert calls == []
+        assert group.phase_ids.tolist() == [spec.layout_ids.tolist()] * 4

@@ -72,6 +72,14 @@ class TestValidation:
         with pytest.raises(TraceFormatError):
             record.validate(7)
 
+    def test_non_binary_reward_rejected(self):
+        record = toy_records()[0]
+        record.reward = 0.7
+        with pytest.raises(TraceFormatError, match="reward"):
+            record.validate(3)
+        record.reward = 1.0
+        record.validate(3)
+
     def test_malformed_json_reports_line_number(self, tmp_path):
         records = toy_records(tasks=1, group_size=2)
         path = tmp_path / "traces.jsonl"
