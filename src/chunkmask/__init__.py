@@ -26,13 +26,11 @@ from .grpo import (
 )
 from .phases import (
     PHASES,
-    GripperTrace,
     LabelingConfig,
     PhaseLabel,
     find_sustained_intervals,
     gripper_close_fraction,
     label_phases,
-    label_trace,
     phase_ids,
 )
 from .sampling import (SelectionMask, shrink_batch, weighted_sample_rows,
@@ -52,11 +50,9 @@ from .analysis import (
     sweep_budget,
 )
 from .toyworld import (
-    ToyRollout,
     ToyTaskSpec,
     default_gripper_profile,
     generate_group,
-    generate_rollout,
     ground_truth_variance,
     initial_policy,
 )

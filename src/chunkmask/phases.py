@@ -59,36 +59,14 @@ class LabelingConfig:
             raise ValueError("window_len must be >= 1")
 
 
-@dataclass(frozen=True)
-class GripperTrace:
-    """Per-timestep gripper-close commands plus the chunking length."""
-
-    commands: np.ndarray
-    chunk_len: int
-
-    def __post_init__(self):
-        commands = np.asarray(self.commands, dtype=float)
-        object.__setattr__(self, "commands", commands)
-        if commands.ndim != 1 or commands.size == 0:
-            raise ValueError("gripper trace must be a nonempty 1-D array")
-        if self.chunk_len < 1:
-            raise ValueError("chunk_len must be >= 1")
-        if np.any(commands < 0.0) or np.any(commands > 1.0):
-            raise ValueError("gripper commands must lie in [0, 1]")
-
-    @property
-    def num_chunks(self) -> int:
-        return -(-self.commands.size // self.chunk_len)
-
-
-def gripper_close_fraction(trace: GripperTrace) -> np.ndarray:
-    """Mean close command per chunk; a trailing partial chunk averages over
-    its actual timesteps."""
-    length, commands = trace.chunk_len, trace.commands
-    full = commands.size // length
-    fractions = commands[:full * length].reshape(full, length).mean(axis=1)
-    if full * length < commands.size:
-        fractions = np.append(fractions, commands[full * length:].mean())
+def gripper_close_fraction(commands, chunk_len: int) -> np.ndarray:
+    """Mean close command per chunk of chunk_len timesteps; a trailing partial
+    chunk averages over its actual timesteps."""
+    commands = np.asarray(commands, dtype=float)
+    full = commands.size // chunk_len
+    fractions = commands[:full * chunk_len].reshape(full, chunk_len).mean(axis=1)
+    if full * chunk_len < commands.size:
+        fractions = np.append(fractions, commands[full * chunk_len:].mean())
     return fractions
 
 
@@ -135,8 +113,3 @@ def label_phases(g_f, cfg: LabelingConfig = LabelingConfig()) -> list[PhaseLabel
                & (g_f >= cfg.pre_grasp_low)] = PhaseLabel.PRE_GRASP
     labels[~below_grip] = PhaseLabel.ACTIVE_GRIP
     return labels.tolist()
-
-
-def label_trace(trace: GripperTrace, cfg: LabelingConfig = LabelingConfig()) -> list[PhaseLabel]:
-    """Convenience wrapper: chunk the trace and label it in one step."""
-    return label_phases(gripper_close_fraction(trace), cfg)

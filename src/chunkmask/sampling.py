@@ -27,30 +27,45 @@ class SelectionMask:
             raise ValueError("mask indices must be unique")
 
 
-def weighted_sample_without_replacement(weights, m: int, rng,
-                                        trajectory_id: int = 0) -> SelectionMask:
-    """Draw min(m, N) distinct indices with sequential probability
-    proportional to the remaining weights.
+def weighted_sample_rows(weights, m: int, rng) -> np.ndarray:
+    """Draw min(m, N) distinct indices from every row of weights (R, N), each
+    with sequential probability proportional to the remaining weights.
 
-    Implemented with weight-scaled exponential keys (take the m smallest),
-    which is distributionally identical to sequential draws without
-    replacement and runs in linear time. Deterministic given the generator
-    state.
+    Implemented with weight-scaled exponential keys (take the m smallest of
+    each row with one row-wise partition), which is distributionally
+    identical to sequential draws without replacement and runs in linear
+    time. rng is one Generator, which draws the keys of all rows as one
+    row-major (R, N) block (the same stream as drawing the rows one after
+    another), or a sequence of R generators, one per row. Returns sorted
+    indices (R, min(m, N)); deterministic given the generator states.
     """
     weights = np.asarray(weights, dtype=float)
-    if weights.ndim != 1 or weights.size == 0:
-        raise ValueError("weights must be a nonempty 1-D array")
-    if np.any(weights <= 0.0):
+    if weights.ndim != 2 or weights.size == 0:
+        raise ValueError("weights must be a nonempty 2-D array")
+    if not np.all(weights > 0.0):  # also rejects NaN
         raise ValueError("all sampling weights must be positive")
     if m < 1:
         raise ValueError("sample size must be >= 1")
+    r, n = weights.shape
+    m = min(m, n)
+    if isinstance(rng, np.random.Generator):
+        keys = rng.exponential(size=(r, n))
+    else:
+        if len(rng) != r:
+            raise ValueError("need exactly one generator per row")
+        keys = np.stack([g.exponential(size=n) for g in rng])
+    keys /= weights
+    return np.sort(np.argpartition(keys, m - 1, axis=1)[:, :m], axis=1)
+
+
+def weighted_sample_without_replacement(weights, m: int, rng,
+                                        trajectory_id: int = 0) -> SelectionMask:
+    """One row of weighted_sample_rows: min(m, N) distinct indices of a 1-D
+    weight vector. rng is a Generator or an int seed."""
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
-    m = min(m, weights.size)
-    keys = rng.exponential(size=weights.size) / weights
-    selected = np.argpartition(keys, m - 1)[:m]
-    return SelectionMask(trajectory_id=trajectory_id,
-                         indices=np.sort(selected), budget=m)
+    indices = weighted_sample_rows(np.asarray(weights, dtype=float)[None], m, rng)[0]
+    return SelectionMask(trajectory_id=trajectory_id, indices=indices, budget=indices.size)
 
 
 def inclusion_probabilities(weights, m: int) -> np.ndarray:
@@ -72,17 +87,6 @@ def inclusion_probabilities(weights, m: int) -> np.ndarray:
         for idx in seq:
             probs[idx] += p
     return probs
-
-
-def weighted_sample_rows(weights, m: int, rngs) -> np.ndarray:
-    """Row-wise weighted_sample_without_replacement: row r of weights (R, N)
-    draws its keys from rngs[r], and one row-wise partition picks the
-    min(m, N) smallest keys of every row. Returns sorted indices (R, min(m, N));
-    row r equals weighted_sample_without_replacement(weights[r], m, rngs[r])."""
-    weights = np.asarray(weights, dtype=float)
-    m = min(m, weights.shape[1])
-    keys = np.stack([rng.exponential(size=weights.shape[1]) for rng in rngs]) / weights
-    return np.sort(np.argpartition(keys, m - 1, axis=1)[:, :m], axis=1)
 
 
 def shrink_batch(group: RolloutGroup, indices) -> RolloutGroup:

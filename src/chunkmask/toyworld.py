@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grpo import ChunkedTrajectory, GaussianChunkPolicy, RolloutGroup, _score_terms
+from .grpo import GaussianChunkPolicy, RolloutGroup, _score_terms
 from .phases import PHASES, LabelingConfig, PhaseLabel, label_phases, phase_ids
 
 _DEFAULT_TARGETS = {
@@ -110,25 +110,12 @@ class ToyTaskSpec:
         counts = np.bincount(self.layout_ids, minlength=len(PHASES))
         return {c: int(counts[k]) for k, c in enumerate(PHASES)}
 
-    def gripper_commands(self) -> np.ndarray:
-        """Per-timestep close commands: each chunk holds its fraction
-        constant, so the per-chunk means reproduce the profile exactly."""
-        return np.repeat(self.gripper_profile, self.chunk_len)
-
     @property
     def num_features(self) -> int:
         return len(PHASES)
 
     def phase_index(self, phase: PhaseLabel) -> int:
         return PHASES.index(phase)
-
-
-@dataclass
-class ToyRollout:
-    """A generated trajectory plus its ground-truth success determinants."""
-
-    trajectory: ChunkedTrajectory
-    critical_distances: dict  # phase -> distance of realized mean action to target
 
 
 def initial_policy(spec: ToyTaskSpec, sigma: float = 0.3,
@@ -180,23 +167,6 @@ def generate_batch(spec: ToyTaskSpec, policy: GaussianChunkPolicy, num: int,
         distances[phase] = dist
         rewards *= dist <= spec.tolerance
     return obs, actions, rewards, distances
-
-
-def generate_rollout(spec: ToyTaskSpec, policy: GaussianChunkPolicy,
-                     seed) -> ToyRollout:
-    """One seeded rollout; identical (spec, policy, seed) give identical
-    output."""
-    rng = np.random.default_rng(seed)
-    obs, actions, rewards, distances = generate_batch(spec, policy, 1, rng)
-    traj = ChunkedTrajectory(
-        observations=obs[0],
-        actions=actions[0],
-        gripper=spec.gripper_commands(),
-        labels=spec.phase_layout(),
-        reward=float(rewards[0]),
-    )
-    return ToyRollout(trajectory=traj,
-                      critical_distances={c: float(v[0]) for c, v in distances.items()})
 
 
 def generate_group(spec: ToyTaskSpec, policy: GaussianChunkPolicy,

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grpo import ChunkedTrajectory, RolloutGroup
-from .phases import GripperTrace, LabelingConfig, PhaseLabel, gripper_close_fraction, label_phases
+from .phases import LabelingConfig, PhaseLabel, gripper_close_fraction, label_phases
 
 
 class TraceFormatError(ValueError):
@@ -21,6 +21,10 @@ class TraceFormatError(ValueError):
     def __init__(self, line_number: int, message: str):
         super().__init__(f"line {line_number}: {message}")
         self.line_number = line_number
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite number {name}")
 
 
 @dataclass
@@ -49,7 +53,14 @@ class TraceRecord:
             raise TraceFormatError(
                 line_number,
                 f"action array length {len(self.actions)} != T*D = {t * self.action_dim}")
-        if self.labels is not None and len(self.labels) != n:
+        try:
+            gripper = np.asarray(self.gripper, dtype=float)
+            labels = None if self.labels is None else [PhaseLabel(c) for c in self.labels]
+        except (TypeError, ValueError) as exc:
+            raise TraceFormatError(line_number, f"bad record: {exc}") from exc
+        if not np.all((gripper >= 0.0) & (gripper <= 1.0)):
+            raise TraceFormatError(line_number, "gripper commands must lie in [0, 1]")
+        if labels is not None and len(labels) != n:
             raise TraceFormatError(line_number, "labels must cover every chunk")
         if self.reward not in (0.0, 1.0):
             raise TraceFormatError(
@@ -74,8 +85,8 @@ class TraceRecord:
     @classmethod
     def from_json(cls, line: str, line_number: int = 0) -> "TraceRecord":
         try:
-            payload = json.loads(line)
-        except json.JSONDecodeError as exc:
+            payload = json.loads(line, parse_constant=_reject_constant)
+        except ValueError as exc:
             raise TraceFormatError(line_number, f"invalid JSON: {exc}") from exc
         try:
             record = cls(
@@ -110,8 +121,7 @@ class TraceRecord:
         if self.labels is not None:
             labels = [PhaseLabel(c) for c in self.labels]
         else:
-            trace = GripperTrace(gripper, self.chunk_len)
-            labels = label_phases(gripper_close_fraction(trace), labeling)
+            labels = label_phases(gripper_close_fraction(gripper, self.chunk_len), labeling)
         return ChunkedTrajectory(
             observations=np.asarray(self.observations, dtype=float),
             actions=chunked,

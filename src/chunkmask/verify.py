@@ -23,7 +23,8 @@ from .allocation import (
 )
 from .grpo import _score_terms, full_loss, full_loss_grad, phase_gradient_stats
 from .phases import PHASES
-from .sampling import inclusion_probabilities, weighted_sample_without_replacement
+from .sampling import (inclusion_probabilities, weighted_sample_rows,
+                       weighted_sample_without_replacement)
 from .toyworld import ToyTaskSpec, generate_group, initial_policy
 
 
@@ -190,24 +191,19 @@ def check_bias_bound(seed: int = 0, draws: int = 10000,
     if group is None:
         return CheckResult("bias_bound", False,
                            "could not draw a mixed-outcome toy group", {})
-    terms, ids = _score_terms(group, policy)
+    terms, _ = _score_terms(group, policy)
     full = -terms.sum(axis=0) / group.group_size
     stats = phase_gradient_stats(group, policy)
-    chunk_sizes = group.chunk_mask.sum(axis=1).tolist()
+    # Toy groups have no padding: the terms are the (G, N) chunks row-major.
+    g, n = group.phase_ids.shape
+    first_chunk = n * np.arange(g)[:, None]
 
     measured = {}
     for table in _BIAS_P_TABLES:
         probs = dict(zip(PHASES, table))
-        weights = np.asarray(table)[ids]
-        counts = np.zeros(len(ids))
-        offsets = np.cumsum([0] + chunk_sizes)
-        for j in range(draws):
-            for i, n in enumerate(chunk_sizes):
-                w = weights[offsets[i]:offsets[i] + n]
-                mask = weighted_sample_without_replacement(
-                    w, min(budget, n), rng, i)
-                counts[offsets[i] + mask.indices] += 1
-        inclusion = counts / draws
+        weights = np.tile(np.asarray(table)[group.phase_ids], (draws, 1))
+        chosen = weighted_sample_rows(weights, budget, rng).reshape(draws, g, -1)
+        inclusion = np.bincount((chosen + first_chunk).ravel(), minlength=g * n) / draws
         expected = -(inclusion[:, None] * terms).sum(axis=0) / group.group_size
         bias = float(np.linalg.norm(expected - full))
         bound = bias_bound(
@@ -286,8 +282,7 @@ def check_sampling_inclusion(seed: int = 0, draws: int = 1000000) -> CheckResult
     for weights, m in _SAMPLING_CASES:
         w = np.asarray(weights)
         exact = inclusion_probabilities(w, m)
-        keys = rng.exponential(size=(draws, w.size)) / w[None]
-        chosen = np.argpartition(keys, m - 1, axis=1)[:, :m]
+        chosen = weighted_sample_rows(np.broadcast_to(w, (draws, w.size)), m, rng)
         counts = np.bincount(chosen.reshape(-1), minlength=w.size)
         freq = counts / draws
         sigma = np.sqrt(exact * (1.0 - exact) / draws)

@@ -19,7 +19,7 @@ from chunkmask.grpo import (
     phase_gradient_stats,
 )
 from chunkmask.phases import PHASES, LabelingConfig, PhaseLabel, label_phases
-from chunkmask.sampling import weighted_sample_without_replacement
+from chunkmask.sampling import weighted_sample_rows
 from chunkmask.scores import GroupCollapsedError, compute_phase_scores
 from chunkmask.toyworld import (
     ToyTaskSpec,
@@ -202,12 +202,10 @@ def test_criterion_09_masked_vs_reweighted_variance():
     n = spec.chunks_per_traj
     draws, budget = 10000, 12
 
-    selection = np.zeros((draws, len(ids)), dtype=bool)
-    for j in range(draws):
-        for i in range(10):
-            mask = weighted_sample_without_replacement(
-                weights[i * n:(i + 1) * n], budget, rng, i)
-            selection[j, i * n + mask.indices] = True
+    chosen = weighted_sample_rows(np.tile(weights.reshape(10, n), (draws, 1)), budget, rng)
+    selection = np.zeros((draws * 10, n), dtype=bool)
+    selection[np.arange(draws * 10)[:, None], chosen] = True
+    selection = selection.reshape(draws, len(ids))
     masked = -(selection @ terms) / 10.0
     reweighted = -((selection / weights[None]) @ terms) / 10.0
     var_masked = float(masked.var(axis=0, ddof=1).sum())

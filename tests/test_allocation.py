@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from chunkmask.allocation import (
     PhaseStats,
@@ -43,6 +45,19 @@ class TestAllocation:
     def test_integerize_largest_remainder(self):
         assert integerize([4.8, 1.2], 6).tolist() == [5, 1]
         assert integerize([3.5, 3.5, 5.0], 12).sum() == 12
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.lists(st.tuples(st.integers(0, 200), st.floats(0.0, 1e3)),
+                    min_size=1, max_size=8),
+           st.integers(1, 500))
+    def test_integerized_neyman_allocation_sums_to_budget(self, phases, budget):
+        counts, variances = zip(*phases)
+        s = stats(counts, variances, budget)
+        assume(np.any(s.weights > 0.0))
+        fractional = neyman_allocation(s)
+        rounded = integerize(fractional, budget)
+        assert rounded.sum() == budget
+        assert np.all(np.abs(rounded - fractional) < 1.0)
 
 
 class TestVariance:

@@ -76,6 +76,31 @@ class TestAnalyze:
         captured = capsys.readouterr()
         assert "malformed" in captured.err
 
+    @pytest.mark.parametrize("field, index, value", [
+        ("gripper", 3, 1.5),
+        ("gripper", 3, -0.1),
+        ("gripper", 3, float("nan")),
+        ("labels", 0, "banana"),
+        ("actions", 0, float("nan")),
+        ("actions", 0, float("inf")),
+    ], ids=["gripper-above-1", "gripper-below-0", "gripper-nan", "unknown-label",
+            "action-nan", "action-infinity"])
+    def test_invalid_value_skips_its_line(self, trace_file, capsys, field, index, value):
+        lines = trace_file.read_text().splitlines()
+        payload = json.loads(lines[0])
+        payload[field][index] = value
+        lines[0] = json.dumps(payload)
+        trace_file.write_text("\n".join(lines) + "\n")
+        assert main(["analyze", str(trace_file)]) == 0
+        captured = capsys.readouterr()
+        assert "malformed" in captured.err and "line 1:" in captured.err
+
+        def reject(name):
+            raise AssertionError(f"non-standard JSON constant {name} in the report")
+
+        report = json.loads(captured.out, parse_constant=reject)
+        assert [g["trajectories"] for g in report["groups"]] == [9, 10, 10, 10]
+
 
 class TestAllocate:
     def test_worked_example(self, capsys):

@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chunkmask.phases import (
     PHASES,
-    GripperTrace,
     LabelingConfig,
     PhaseLabel,
     find_sustained_intervals,
     gripper_close_fraction,
     label_phases,
-    label_trace,
 )
+from chunkmask.traces import TraceRecord
 
 AG = PhaseLabel.ACTIVE_GRIP
 PG = PhaseLabel.PRE_GRASP
@@ -21,20 +22,31 @@ TL = PhaseLabel.TAIL
 
 class TestCloseFraction:
     def test_constant_per_chunk(self):
-        trace = GripperTrace(np.array([1, 1, 1, 1, 0, 0, 0, 0], dtype=float), 4)
-        assert gripper_close_fraction(trace).tolist() == [1.0, 0.0]
+        commands = np.array([1, 1, 1, 1, 0, 0, 0, 0], dtype=float)
+        assert gripper_close_fraction(commands, 4).tolist() == [1.0, 0.0]
 
     def test_uniform_value(self):
-        trace = GripperTrace(np.full(8, 0.5), 8)
-        assert gripper_close_fraction(trace).tolist() == [0.5]
+        assert gripper_close_fraction(np.full(8, 0.5), 8).tolist() == [0.5]
 
     def test_trailing_partial_chunk_averages_real_timesteps(self):
-        trace = GripperTrace(np.array([1, 0, 1, 0, 1, 1], dtype=float), 4)
-        assert gripper_close_fraction(trace).tolist() == [0.5, 1.0]
+        commands = np.array([1, 0, 1, 0, 1, 1], dtype=float)
+        assert gripper_close_fraction(commands, 4).tolist() == [0.5, 1.0]
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=60), st.integers(1, 12))
+    def test_partial_chunk_averages_only_its_timesteps(self, commands, chunk_len):
+        fractions = gripper_close_fraction(commands, chunk_len)
+        assert fractions.size == -(-len(commands) // chunk_len)
+        for k, value in enumerate(fractions):
+            real = commands[k * chunk_len:(k + 1) * chunk_len]
+            assert value == pytest.approx(sum(real) / len(real), abs=1e-12)
 
     def test_empty_trace_rejected(self):
+        # Traces are validated where they enter, when a record is read.
+        record = TraceRecord(trajectory_id=0, task_id="t", reward=0.0, chunk_len=4,
+                             gripper=[], observations=[], actions=[], action_dim=2)
         with pytest.raises(ValueError):
-            GripperTrace(np.array([]), 4)
+            record.validate()
 
 
 class TestSustainedIntervals:
@@ -135,11 +147,10 @@ class TestProperties:
                                for _, end in intervals)
 
     def test_labels_blind_to_trace_scale_outside_thresholds(self):
-        # Same fractions, repeated call through the trace-level wrapper.
+        # Same fractions, averaged per chunk from the timestep trace.
         commands = np.array([0.0, 0.0, 0.2, 0.2, 0.9, 0.9, 0.9, 0.9,
                              0.3, 0.3, 0.0, 0.0], dtype=float)
-        trace = GripperTrace(commands, 2)
-        assert label_trace(trace) == [AP, PG, AG, AG, RR, RR]
+        assert label_phases(gripper_close_fraction(commands, 2)) == [AP, PG, AG, AG, RR, RR]
 
 
 class TestConfigValidation:

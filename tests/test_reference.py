@@ -141,3 +141,9 @@ def test_row_sampler_equals_single_row_sampler(rows, n, m, seed):
     assert batched.shape == (rows, min(m, n))
     for row, w, rng in zip(batched, weights, streams()):
         assert np.array_equal(row, weighted_sample_without_replacement(w, m, rng).indices)
+    # One Generator draws the keys of all rows as one row-major block: the
+    # same stream as row-by-row draws from one shared generator.
+    batched = weighted_sample_rows(weights, m, np.random.default_rng(seed))
+    shared = np.random.default_rng(seed)
+    for row, w in zip(batched, weights):
+        assert np.array_equal(row, weighted_sample_without_replacement(w, m, shared).indices)

@@ -7,6 +7,7 @@ from chunkmask.sampling import (
     SelectionMask,
     inclusion_probabilities,
     shrink_batch,
+    weighted_sample_rows,
     weighted_sample_without_replacement,
 )
 
@@ -56,9 +57,7 @@ class TestWeightedSampling:
         m, draws = 2, 200000
         exact = inclusion_probabilities(w, m)
         rng = np.random.default_rng(9)
-        counts = np.zeros(4)
-        keys = rng.exponential(size=(draws, 4)) / w[None]
-        chosen = np.argpartition(keys, m - 1, axis=1)[:, :m]
+        chosen = weighted_sample_rows(np.broadcast_to(w, (draws, 4)), m, rng)
         counts = np.bincount(chosen.reshape(-1), minlength=4)
         freq = counts / draws
         sigma = np.sqrt(exact * (1 - exact) / draws)
@@ -71,6 +70,19 @@ class TestWeightedSampling:
             weighted_sample_without_replacement([1.0, 1.0], 0, 0)
         with pytest.raises(ValueError):
             weighted_sample_without_replacement([], 1, 0)
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError):
+            weighted_sample_rows([[1.0, -1.0]], 1, rng)
+        with pytest.raises(ValueError):
+            weighted_sample_rows([[1.0, np.nan]], 1, rng)
+        with pytest.raises(ValueError):
+            weighted_sample_rows([[1.0, 1.0]], 0, rng)
+        with pytest.raises(ValueError):
+            weighted_sample_rows(np.ones((0, 3)), 1, rng)
+        with pytest.raises(ValueError):
+            weighted_sample_rows([1.0, 1.0], 1, rng)
+        with pytest.raises(ValueError):
+            weighted_sample_rows(np.ones((2, 3)), 1, [rng])
 
 
 def make_group():

@@ -7,7 +7,6 @@ from chunkmask.toyworld import (
     default_gripper_profile,
     generate_batch,
     generate_group,
-    generate_rollout,
     initial_policy,
 )
 
@@ -39,30 +38,8 @@ class TestSpec:
         with pytest.raises(ValueError):
             ToyTaskSpec(critical_phases=(AG, PG, PhaseLabel.TAIL))
 
-    def test_gripper_commands_reproduce_profile_means(self):
-        spec = ToyTaskSpec()
-        commands = spec.gripper_commands()
-        means = commands.reshape(spec.chunks_per_traj, spec.chunk_len).mean(axis=1)
-        assert np.allclose(means, spec.gripper_profile)
-
 
 class TestRollouts:
-    def test_seeded_rollouts_are_reproducible(self):
-        spec = ToyTaskSpec()
-        policy = initial_policy(spec)
-        a = generate_rollout(spec, policy, 123)
-        b = generate_rollout(spec, policy, 123)
-        assert np.array_equal(a.trajectory.actions, b.trajectory.actions)
-        assert a.trajectory.reward == b.trajectory.reward
-        assert a.critical_distances == b.critical_distances
-
-    def test_different_seeds_differ(self):
-        spec = ToyTaskSpec()
-        policy = initial_policy(spec)
-        a = generate_rollout(spec, policy, 1)
-        b = generate_rollout(spec, policy, 2)
-        assert not np.array_equal(a.trajectory.actions, b.trajectory.actions)
-
     def test_outcome_depends_only_on_critical_phases(self):
         # Replaying the success rule on the stored actions must reproduce the
         # reward, and perturbing only non-critical chunks cannot change it.

@@ -80,6 +80,13 @@ class TestValidation:
         record.reward = 1.0
         record.validate(3)
 
+    def test_gripper_outside_unit_interval_rejected(self):
+        record = toy_records()[0]
+        for value in (1.5, -0.1, float("nan")):
+            record.gripper[2] = value
+            with pytest.raises(TraceFormatError, match="line 5: gripper"):
+                record.validate(5)
+
     def test_malformed_json_reports_line_number(self, tmp_path):
         records = toy_records(tasks=1, group_size=2)
         path = tmp_path / "traces.jsonl"
