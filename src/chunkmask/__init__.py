@@ -2,11 +2,9 @@
 on chunked trajectories."""
 
 from .allocation import (
-    AllocationPlan,
     PhaseStats,
     bias_bound,
     estimator_variance,
-    make_plan,
     min_variance,
     neyman_allocation,
     ratio_estimator,
@@ -18,7 +16,6 @@ from .grpo import (
     PhaseGradientStats,
     RolloutGroup,
     full_loss,
-    full_loss_grad,
     group_advantages,
     masked_loss_grad,
     phase_gradient_stats,
@@ -31,13 +28,13 @@ from .phases import (
     find_sustained_intervals,
     gripper_close_fraction,
     label_phases,
+    phase_dict,
     phase_ids,
 )
 from .sampling import (SelectionMask, shrink_batch, weighted_sample_rows,
                        weighted_sample_without_replacement)
 from .scores import (
     GroupCollapsedError,
-    PhaseScoreReport,
     PhaseScoreState,
     compute_phase_scores,
 )

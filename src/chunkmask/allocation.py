@@ -39,15 +39,6 @@ class PhaseStats:
         return self.counts * np.sqrt(self.variances)
 
 
-@dataclass
-class AllocationPlan:
-    budgets: np.ndarray          # fractional b_c, summing to the budget
-    total_variance: float
-    min_variance: float
-    speedup: float
-    bias_bound: float = None
-
-
 def neyman_allocation(stats: PhaseStats) -> np.ndarray:
     """Fractional budgets b_c = B * N_c sqrt(V_c) / sum N sqrt(V)."""
     w = stats.weights
@@ -119,17 +110,3 @@ def ratio_estimator(samples, phase_count: float, draws: int = None) -> np.ndarra
         raise ValueError("ratio estimator needs at least one sampled chunk")
     return phase_count / b * samples.sum(axis=0)
 
-
-def make_plan(stats: PhaseStats, keep_probs=None, grad_norms=None) -> AllocationPlan:
-    """Bundle the optimal allocation with its verification quantities."""
-    budgets = neyman_allocation(stats)
-    bound = None
-    if keep_probs is not None and grad_norms is not None:
-        bound = bias_bound(keep_probs, grad_norms)
-    return AllocationPlan(
-        budgets=budgets,
-        total_variance=estimator_variance(stats, budgets),
-        min_variance=min_variance(stats),
-        speedup=speedup_ratio(stats),
-        bias_bound=bound,
-    )

@@ -8,14 +8,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .phases import PHASES
+from .phases import phase_dict
 from .sampling import weighted_sample_without_replacement
-from .scores import (
-    GroupCollapsedError,
-    PhaseScoreReport,
-    PhaseScoreState,
-    compute_phase_scores,
-)
+from .scores import GroupCollapsedError, PhaseScoreState, compute_phase_scores
 from .traces import group_records, records_to_group
 
 
@@ -23,7 +18,7 @@ from .traces import group_records, records_to_group
 class GroupAnalysis:
     task_id: str
     num_trajectories: int
-    report: PhaseScoreReport = None
+    report: np.ndarray = None  # (P,) phase scores, NaN unscored; None if skipped
     masks: list = None
     skipped_reason: str = None
 
@@ -54,15 +49,15 @@ def _score_groups(records, p_min: float = 0.1):
         group = records_to_group(members)
         groups.append(group)
         try:
-            report = compute_phase_scores(group)
+            scores = compute_phase_scores(group)
         except GroupCollapsedError:
             analyses.append(GroupAnalysis(
                 task_id=task_id, num_trajectories=len(members),
                 skipped_reason="zero reward variance"))
             continue
-        state.append_scores(report)
+        state.append_scores(scores)
         analyses.append(GroupAnalysis(
-            task_id=task_id, num_trajectories=len(members), report=report))
+            task_id=task_id, num_trajectories=len(members), report=scores))
 
     if state.buffers_empty:
         raise ValueError("every group was skipped; nothing to score")
@@ -83,7 +78,7 @@ def analyze(records, budget: int = 12, p_min: float = 0.1,
         analysis.masks = [
             weighted_sample_without_replacement(w[:n], min(budget, n), rng, i)
             for i, (w, n) in enumerate(zip(weights, group.chunk_mask.sum(axis=1)))]
-    return AnalysisResult(groups=analyses, keep_probs=dict(state.keep_probs),
+    return AnalysisResult(groups=analyses, keep_probs=phase_dict(state.keep_probs),
                           budget=budget)
 
 
@@ -116,11 +111,7 @@ def sweep_budget(records) -> BudgetSweep:
     """Rank all chunks by their phase score and trace how much of the total
     score mass is captured as the retained fraction grows."""
     analyses, groups, _ = _score_groups(records)
-    scores = np.zeros(len(PHASES))
-    for analysis in analyses:
-        if analysis.report is not None:
-            for c, value in analysis.report.scores.items():
-                scores[PHASES.index(c)] += value
+    scores = np.nansum([a.report for a in analyses if a.report is not None], axis=0)
     chunk_scores = np.concatenate([scores[g.phase_ids[g.chunk_mask]] for g in groups])
     chunk_scores = np.sort(chunk_scores)[::-1]
 

@@ -12,9 +12,10 @@ import sys
 
 import numpy as np
 
-from .allocation import PhaseStats, integerize, make_plan
+from .allocation import (PhaseStats, estimator_variance, integerize, min_variance,
+                         neyman_allocation, speedup_ratio)
 from .analysis import analyze, sweep_budget
-from .phases import PHASES
+from .phases import PHASES, phase_dict
 from .toyworld import ToyTaskSpec
 from .traces import TraceFormatError, read_traces
 from .trainer import TrainConfig, final_success, run_seeds, write_metrics_csv
@@ -110,7 +111,7 @@ def _cmd_analyze(args) -> int:
         if g.skipped_reason:
             entry["skipped"] = g.skipped_reason
         else:
-            entry["scores"] = {c.value: v for c, v in g.report.scores.items()}
+            entry["scores"] = {c.value: v for c, v in phase_dict(g.report).items()}
             entry["masks"] = [list(map(int, m.indices)) for m in g.masks]
         report["groups"].append(entry)
     json.dump(report, sys.stdout, indent=2)
@@ -123,16 +124,15 @@ def _cmd_allocate(args) -> int:
     variances = [float(x) for x in args.variances.split(",")]
     stats = PhaseStats(counts=np.asarray(counts),
                        variances=np.asarray(variances), budget=args.budget)
-    plan = make_plan(stats)
+    budgets = neyman_allocation(stats)
     report = {
-        "budgets": [round(b, 6) for b in plan.budgets],
-        "total_variance": plan.total_variance,
-        "min_variance": plan.min_variance,
-        "speedup": plan.speedup,
+        "budgets": [round(b, 6) for b in budgets],
+        "total_variance": estimator_variance(stats, budgets),
+        "min_variance": min_variance(stats),
+        "speedup": speedup_ratio(stats),
     }
     if args.integer:
-        report["integer_budgets"] = [
-            int(b) for b in integerize(plan.budgets, args.budget)]
+        report["integer_budgets"] = [int(b) for b in integerize(budgets, args.budget)]
     json.dump(report, sys.stdout, indent=2)
     print()
     return 0

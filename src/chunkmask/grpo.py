@@ -16,7 +16,14 @@ from rollout to gradient:
 
 Scores and gradients weight every timestep by `valid`, so padding never
 counts. Shrinking a group to selected chunks gathers along the chunk axis
-and keeps `group_size`, the size of the source group, for normalization.
+and keeps `group_size`, the size of the source group, for normalization;
+masked_loss_grad is the one gradient of the objective, over all chunks of
+an unshrunk group and over the kept chunks of a shrunk one.
+
+Per-phase values are (P,) arrays indexed by phase id, NaN where a phase
+has no value: keep probabilities for reweighted_loss_grad, and the counts,
+mean score terms (P, K) and variances of PhaseGradientStats.
+
 ChunkedTrajectory is the per-trajectory form used at the edges: trace I/O,
 the labeler and tests (RolloutGroup.from_trajectories and .trajectories
 convert between the two).
@@ -24,7 +31,7 @@ convert between the two).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -251,52 +258,43 @@ def full_loss(group: RolloutGroup, policy: GaussianChunkPolicy) -> float:
     return -float(group.advantages @ logp.sum(axis=1)) / group.group_size
 
 
-def full_loss_grad(group: RolloutGroup, policy: GaussianChunkPolicy) -> np.ndarray:
-    """Gradient of the group objective -E_i[sum_k A_i log pi(a|s)] wrt the
-    policy weights, flattened."""
-    return _loss_grad(group, policy)
-
-
 def masked_loss_grad(compacted: RolloutGroup, policy: GaussianChunkPolicy) -> np.ndarray:
-    """Gradient of the masked objective: same form as full_loss_grad over the
-    selected chunks only, with no 1/p_c importance weights. Normalization uses
-    the source group size carried through shrinking."""
+    """Gradient of -(1/G) sum_{i,k} A_i log pi(a_ik|s_ik) wrt the policy
+    weights, flattened, over the chunks the group holds, with no 1/p_c
+    importance weights: on an unshrunk group it is the full loss gradient.
+    Normalization uses the source group size carried through shrinking."""
     return _loss_grad(compacted, policy)
 
 
 def reweighted_loss_grad(compacted: RolloutGroup, policy: GaussianChunkPolicy,
-                         keep_probs: dict) -> np.ndarray:
+                         keep_probs: np.ndarray) -> np.ndarray:
     """Importance-weighted unbiased counterpart of masked_loss_grad: each
-    selected chunk is scaled by 1 / p_phase. Used for variance comparisons,
-    not as the training update."""
-    probs = np.array([keep_probs[c] for c in PHASES])
-    return _loss_grad(compacted, policy, 1.0 / probs[compacted.phase_ids])
+    selected chunk is scaled by 1 / p_phase, keep_probs being (P,). Used for
+    variance comparisons, not as the training update."""
+    return _loss_grad(compacted, policy, 1.0 / np.asarray(keep_probs)[compacted.phase_ids])
 
 
 @dataclass
 class PhaseGradientStats:
-    """Per-phase mean score terms, phase gradients, and scalar variances.
+    """Per-phase chunk counts (P,), mean score terms (P, K) and scalar
+    variances (P,), indexed by phase id.
 
-    mean_scores[c] is the mean of the per-chunk terms A_i * dlogpi; the phase
-    gradient is -(count_c / G) * mean_scores[c], so that the phase gradients
-    sum to the full loss gradient. variances[c] is the trace of the sample
-    covariance of the terms (absent for phases with < 2 chunks).
+    mean_scores[c] is the mean of the per-chunk terms A_i * dlogpi (NaN for a
+    phase without chunks); the phase gradient is -(counts[c] / G) *
+    mean_scores[c], so the phase gradients of the present phases sum to the
+    full loss gradient. variances[c] is the trace of the sample covariance of
+    the terms (NaN for phases with < 2 chunks).
     """
 
-    mean_scores: dict = field(default_factory=dict)
-    counts: dict = field(default_factory=dict)
-    variances: dict = field(default_factory=dict)
+    counts: np.ndarray
+    mean_scores: np.ndarray
+    variances: np.ndarray
     group_size: int = 1
 
-    def phase_gradient(self, phase: PhaseLabel) -> np.ndarray:
-        return -self.counts[phase] * self.mean_scores[phase] / self.group_size
-
     @property
-    def phases(self):
-        return list(self.mean_scores)
-
-    def total_gradient(self) -> np.ndarray:
-        return sum(self.phase_gradient(c) for c in self.mean_scores)
+    def gradients(self) -> np.ndarray:
+        """(P, K) phase gradients; NaN rows for absent phases."""
+        return -self.counts[:, None] * self.mean_scores / self.group_size
 
 
 def phase_gradient_stats(group: RolloutGroup, policy: GaussianChunkPolicy) -> PhaseGradientStats:
@@ -307,11 +305,6 @@ def phase_gradient_stats(group: RolloutGroup, policy: GaussianChunkPolicy) -> Ph
     counts = onehot.sum(axis=0)
     means = (onehot.T @ terms) / np.maximum(counts, 1.0)[:, None]
     sq = onehot.T @ ((terms - means[ids]) ** 2).sum(axis=1)
-    stats = PhaseGradientStats(group_size=group.group_size)
-    for k in np.flatnonzero(counts):
-        phase, n = PHASES[k], int(counts[k])
-        stats.mean_scores[phase] = means[k]
-        stats.counts[phase] = n
-        if n >= 2:
-            stats.variances[phase] = float(sq[k] / (n - 1))
-    return stats
+    means[counts == 0] = np.nan
+    variances = np.where(counts >= 2, sq / np.maximum(counts - 1.0, 1.0), np.nan)
+    return PhaseGradientStats(counts, means, variances, group.group_size)

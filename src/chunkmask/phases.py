@@ -8,6 +8,7 @@ on the trajectory outcome.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -39,6 +40,13 @@ PHASES = PHASE_PRIORITY
 def phase_ids(labels) -> np.ndarray:
     """Integer phase ids (indices into PHASES) of a sequence of labels."""
     return np.array([PHASES.index(c) for c in labels], dtype=int)
+
+
+def phase_dict(values) -> dict:
+    """{PhaseLabel: float} of a (P,) array indexed by phase id, without the
+    NaN (unscored) entries; for output only."""
+    return {c: v for c, v in zip(PHASES, np.asarray(values, dtype=float).tolist())
+            if not math.isnan(v)}
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
-"""Success-failure action variance per phase, online score buffers, and
-floored keep probabilities."""
+"""Success-failure action variance per phase, online score sums, and
+floored keep probabilities. Phase-keyed values are (P,) arrays indexed by
+phase id (an index into PHASES), NaN where a phase has no value."""
 
 from __future__ import annotations
 
@@ -15,26 +16,15 @@ class GroupCollapsedError(ValueError):
     """All rewards in the group are equal, so the variance signal is empty."""
 
 
-@dataclass
-class PhaseScoreReport:
-    """Per-phase success-failure scores for one rollout group.
-
-    A phase gets a score only when both outcome groups contain at least one
-    of its chunks; otherwise it is flagged skipped.
-    """
-
-    scores: dict = field(default_factory=dict)  # phase -> C_c
-    skipped: set = field(default_factory=set)
-
-
-def compute_phase_scores(group: RolloutGroup) -> PhaseScoreReport:
-    """Success-failure action variance per phase.
+def compute_phase_scores(group: RolloutGroup) -> np.ndarray:
+    """Success-failure action variance per phase, C_c as a (P,) array.
 
     Pools the per-timestep action vectors of every phase-c chunk across
     successful trajectories, likewise across failed ones, and scores the
     phase with the Euclidean norm of the difference of the two mean vectors.
     Only real timesteps are pooled. Rewards are binary (trace records are
     validated so), and a trajectory counts as a success when its reward is 1.
+    A phase without chunks in both outcome groups is unscored (NaN).
     """
     if group.reward_variance == 0.0:
         raise GroupCollapsedError("group rewards have zero variance")
@@ -48,74 +38,68 @@ def compute_phase_scores(group: RolloutGroup) -> PhaseScoreReport:
     sums = (onehot_t @ real).reshape(2 * p, l, d).sum(axis=1)  # (2P, D)
     steps = (onehot_t @ valid).sum(axis=1)                    # (2P,)
     chunks = onehot_t @ valid.any(axis=1)                      # (2P,)
-
-    report = PhaseScoreReport()
-    for k in np.flatnonzero(chunks[:p] + chunks[p:]):
-        phase, neg, pos = PHASES[k], k, p + k
-        if chunks[pos] == 0 or chunks[neg] == 0:
-            report.skipped.add(phase)
-            continue
-        gap = sums[pos] / steps[pos] - sums[neg] / steps[neg]
-        report.scores[phase] = float(np.linalg.norm(gap))
-    return report
+    means = sums / np.maximum(steps, 1.0)[:, None]
+    gap = means[p:] - means[:p]
+    # Row-wise dot products: the same BLAS arithmetic as the norm of one row.
+    scores = np.sqrt((gap[:, None] @ gap[:, :, None]).ravel())
+    scores[(chunks[p:] == 0) | (chunks[:p] == 0)] = np.nan
+    return scores
 
 
 @dataclass
 class PhaseScoreState:
-    """Online keep-probability state: short per-phase score buffers that are
-    collapsed into floored, max-normalized keep probabilities every
-    refresh_window scored batches."""
+    """Online keep-probability state: per-phase score sums that are collapsed
+    into floored, max-normalized keep probabilities every refresh_window
+    scored batches."""
 
     refresh_window: int = 5
     floor: float = 0.1
-    buffers: dict = None
-    keep_probs: dict = None  # None until the first refresh
-    steps_since_refresh: int = 0
+    sums: np.ndarray = field(init=False)        # (P,) scores since the last refresh
+    scored: bool = field(init=False)            # a finite score arrived since then
+    keep_probs: np.ndarray = field(init=False)  # (P,); None until the first refresh
+    steps_since_refresh: int = field(init=False)
 
     def __post_init__(self):
         if self.refresh_window < 1:
             raise ValueError("refresh_window must be >= 1")
         if not (0.0 < self.floor <= 1.0):
             raise ValueError("floor must lie in (0, 1]")
-        if self.buffers is None:
-            self.buffers = {c: [] for c in PHASES}
+        self.sums, self.scored = np.zeros(len(PHASES)), False
+        self.keep_probs, self.steps_since_refresh = None, 0
 
-    def append_scores(self, report: PhaseScoreReport) -> None:
-        """Append each scored phase's value to its buffer; skipped phases get
-        no entry (a zero would bias the share against phases that were merely
-        unobserved)."""
-        for phase, value in report.scores.items():
-            self.buffers[phase].append(value)
+    def append_scores(self, scores: np.ndarray) -> None:
+        """Add each scored phase's value to its sum; unscored (NaN) phases
+        add nothing (a zero would bias the share against phases that were
+        merely unobserved)."""
+        finite = np.isfinite(scores)
+        self.sums += np.where(finite, scores, 0.0)
+        self.scored |= bool(finite.any())
         self.steps_since_refresh += 1
 
     @property
     def buffers_empty(self) -> bool:
-        return all(not buf for buf in self.buffers.values())
+        """No finite score was appended since the last refresh."""
+        return not self.scored
 
     @property
     def refresh_due(self) -> bool:
         return self.keep_probs is None or self.steps_since_refresh >= self.refresh_window
 
-    def refresh(self) -> dict:
-        """Collapse buffers into keep probabilities and reset them.
+    def refresh(self) -> np.ndarray:
+        """Collapse the sums into keep probabilities and reset them.
 
-        S_c = sum of the buffer, shares are S_c / sum(S), max-normalized and
-        floored at `floor`. If every S_c is zero the previous probabilities
-        are retained.
+        Shares are S_c / sum(S), max-normalized and floored at `floor`. If
+        every S_c is zero the previous probabilities are retained.
         """
-        sums = {c: float(sum(self.buffers[c])) for c in PHASES}
-        total = sum(sums.values())
+        total = self.sums.sum()
         if total > 0.0:
-            shares = {c: sums[c] / total for c in PHASES}
-            top = max(shares.values())
-            self.keep_probs = {
-                c: max(self.floor, shares[c] / top) for c in PHASES
-            }
+            shares = self.sums / total
+            self.keep_probs = np.maximum(self.floor, shares / shares.max())
         elif self.keep_probs is None:
             # Degenerate first refresh with no signal anywhere: fall back to
             # keeping everything until scores arrive.
-            self.keep_probs = {c: 1.0 for c in PHASES}
-        self.buffers = {c: [] for c in PHASES}
+            self.keep_probs = np.ones(len(PHASES))
+        self.sums, self.scored = np.zeros(len(PHASES)), False
         self.steps_since_refresh = 0
         return self.keep_probs
 
@@ -124,4 +108,4 @@ class PhaseScoreState:
         inherits its phase's keep probability. Requires a prior refresh."""
         if self.keep_probs is None:
             raise ValueError("keep probabilities are undefined before the first refresh")
-        return np.array([self.keep_probs[c] for c in PHASES])[phase_ids]
+        return self.keep_probs[phase_ids]

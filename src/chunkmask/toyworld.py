@@ -106,10 +106,6 @@ class ToyTaskSpec:
         rollout)."""
         return [PHASES[k] for k in self.layout_ids]
 
-    def phase_counts(self) -> dict:
-        counts = np.bincount(self.layout_ids, minlength=len(PHASES))
-        return {c: int(counts[k]) for k, c in enumerate(PHASES)}
-
     @property
     def num_features(self) -> int:
         return len(PHASES)
@@ -189,32 +185,29 @@ def ground_truth_variance(spec: ToyTaskSpec, policy: GaussianChunkPolicy,
 
     Draws `samples` rollouts in groups of `group_size`, forms group-relative
     advantages (collapsed groups are skipped), and returns per phase the
-    trace of the sample covariance of the advantage-weighted score terms,
-    with its standard error: {phase: (V_c, stderr)}.
+    trace of the sample covariance of the advantage-weighted score terms and
+    its standard error, as two (P,) arrays (V_c, stderr), NaN for a phase
+    with fewer than 2 chunks.
     """
     if samples < 1000:
         raise ValueError("oracle needs at least 1000 rollouts")
     rng = np.random.default_rng(rng)  # a Generator passes through unchanged
-    terms_by_phase = {c: [] for c in PHASES}
+    blocks = []
     for _ in range(samples // group_size):
         group = generate_group(spec, policy, group_size, rng)
         if group.reward_variance == 0.0:
             continue
-        terms, ids = _score_terms(group, policy)
-        for k, phase in enumerate(PHASES):
-            terms_by_phase[phase].append(terms[ids == k])
-
-    result = {}
-    for phase, blocks in terms_by_phase.items():
-        if not blocks:
-            continue
-        block = np.concatenate(blocks)
+        blocks.append(_score_terms(group, policy))
+    variances, stderr = np.full(len(PHASES), np.nan), np.full(len(PHASES), np.nan)
+    if not blocks:
+        return variances, stderr
+    # One phase at a time: a copy of every term at once would double the
+    # peak memory, which the groups' terms dominate.
+    for k in range(len(PHASES)):
+        block = np.concatenate([terms[ids == k] for terms, ids in blocks])
         m = block.shape[0]
-        if m < 2:
-            continue
-        centered = block - block.mean(axis=0)
-        sq = (centered**2).sum(axis=1)
-        variance = float(sq.sum() / (m - 1))
-        stderr = float(sq.std(ddof=1) / np.sqrt(m))
-        result[phase] = (variance, stderr)
-    return result
+        if m >= 2:
+            sq = ((block - block.mean(axis=0)) ** 2).sum(axis=1)
+            variances[k] = sq.sum() / (m - 1)
+            stderr[k] = sq.std(ddof=1) / np.sqrt(m)
+    return variances, stderr

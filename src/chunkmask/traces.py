@@ -33,6 +33,7 @@ class TraceRecord:
     task_id: str
     reward: float
     chunk_len: int
+    # Lists as read; validate() stores them as float arrays.
     gripper: list          # per-timestep close commands, length T
     observations: list     # per-chunk feature vectors, length N
     actions: list          # per-timestep action values, flattened, length T*D
@@ -40,6 +41,8 @@ class TraceRecord:
     labels: list = None    # optional phase label names, length N
 
     def validate(self, line_number: int = 0) -> None:
+        """Raise TraceFormatError for a malformed record; otherwise store
+        gripper, actions and observations as the float arrays checked."""
         t = len(self.gripper)
         if t == 0:
             raise TraceFormatError(line_number, "empty gripper trace")
@@ -55,16 +58,25 @@ class TraceRecord:
                 f"action array length {len(self.actions)} != T*D = {t * self.action_dim}")
         try:
             gripper = np.asarray(self.gripper, dtype=float)
+            actions = np.asarray(self.actions, dtype=float)
+            observations = np.asarray(self.observations, dtype=float)
             labels = None if self.labels is None else [PhaseLabel(c) for c in self.labels]
         except (TypeError, ValueError) as exc:
             raise TraceFormatError(line_number, f"bad record: {exc}") from exc
+        if gripper.ndim != 1 or actions.ndim != 1 or observations.ndim != 2:
+            raise TraceFormatError(
+                line_number, "gripper and actions must be flat lists and observations "
+                "a list of equal-length feature rows")
         if not np.all((gripper >= 0.0) & (gripper <= 1.0)):
             raise TraceFormatError(line_number, "gripper commands must lie in [0, 1]")
+        if not (np.isfinite(actions).all() and np.isfinite(observations).all()):
+            raise TraceFormatError(line_number, "actions and observations must be finite")
         if labels is not None and len(labels) != n:
             raise TraceFormatError(line_number, "labels must cover every chunk")
         if self.reward not in (0.0, 1.0):
             raise TraceFormatError(
                 line_number, f"reward must be 0 (failure) or 1 (success), got {self.reward}")
+        self.gripper, self.actions, self.observations = gripper, actions, observations
 
     def to_json(self) -> str:
         payload = {

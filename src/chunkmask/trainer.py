@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .grpo import GaussianChunkPolicy, masked_loss_grad
-from .phases import PHASES
+from .phases import PHASES, phase_dict
 from .sampling import shrink_batch, weighted_sample_rows
 # Imported for perfbench/tracing.py, which wraps it under this module's name.
 from .sampling import weighted_sample_without_replacement  # noqa: F401
@@ -70,10 +70,10 @@ def _select_masks(mode, group, state: PhaseScoreState, budget, seed, step):
     if mode == "random_mask":
         return np.sort([rng.choice(n, size=m, replace=False) for rng in rngs], axis=1)
     if mode == "full_mask":
-        top = max(state.keep_probs, key=state.keep_probs.get)
+        top = np.argmax(state.keep_probs)  # the first phase of highest probability
         rows = []
         for ids, rng in zip(group.phase_ids, rngs):
-            candidates = np.flatnonzero(ids == PHASES.index(top))
+            candidates = np.flatnonzero(ids == top)
             if candidates.size == 0:
                 candidates = np.arange(n)
             rows.append(rng.choice(candidates, size=min(m, candidates.size), replace=False))
@@ -123,11 +123,11 @@ def train(config: TrainConfig, spec: ToyTaskSpec = None,
             spec = spec_switch[1]
         group = generate_group(spec, policy, config.group_size, rollout_rng)
 
-        report = None
+        scores = None
         collapsed = group.reward_variance == 0.0
         if not collapsed:
-            report = compute_phase_scores(group)
-            state.append_scores(report)
+            scores = compute_phase_scores(group)
+            state.append_scores(scores)
             if state.refresh_due:
                 state.refresh()
 
@@ -136,8 +136,8 @@ def train(config: TrainConfig, spec: ToyTaskSpec = None,
             success_rate=evaluate(spec, policy, config.eval_rollouts, eval_rng),
             chunks_used=0,
             cumulative_chunks=cumulative,
-            keep_probs=dict(state.keep_probs) if state.keep_probs else {},
-            phase_scores=dict(report.scores) if report else {},
+            keep_probs={} if state.keep_probs is None else phase_dict(state.keep_probs),
+            phase_scores={} if scores is None else phase_dict(scores),
         )
 
         # A collapsed group has all-zero advantages; the update is skipped
@@ -155,7 +155,7 @@ def train(config: TrainConfig, spec: ToyTaskSpec = None,
             update_group = shrink_batch(group, masks)
             alloc = np.bincount(update_group.phase_ids.reshape(-1),
                                 minlength=len(PHASES)) / config.group_size
-            step_metrics.allocation = dict(zip(PHASES, alloc.tolist()))
+            step_metrics.allocation = phase_dict(alloc)
 
         grad = masked_loss_grad(update_group, policy)
         policy.weights -= config.learning_rate * grad.reshape(policy.weights.shape)
@@ -185,11 +185,12 @@ def final_success(run: list[StepMetrics], window: int = 10) -> float:
 
 
 def moving_average(values, window: int = 5) -> np.ndarray:
+    """Trailing mean over the last `window` values, fewer at the start."""
     values = np.asarray(values, dtype=float)
-    out = np.empty_like(values)
-    for i in range(values.size):
-        out[i] = values[max(0, i - window + 1):i + 1].mean()
-    return out
+    sums = np.concatenate([[0.0], np.cumsum(values)])
+    ends = np.arange(1, values.size + 1)
+    starts = np.maximum(ends - window, 0)
+    return (sums[ends] - sums[starts]) / (ends - starts)
 
 
 def metrics_to_rows(run: list[StepMetrics]) -> tuple[list[str], list[list]]:

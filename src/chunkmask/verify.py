@@ -21,7 +21,7 @@ from .allocation import (
     ratio_estimator,
     speedup_ratio,
 )
-from .grpo import _score_terms, full_loss, full_loss_grad, phase_gradient_stats
+from .grpo import _score_terms, full_loss, masked_loss_grad, phase_gradient_stats
 from .phases import PHASES
 from .sampling import (inclusion_probabilities, weighted_sample_rows,
                        weighted_sample_without_replacement)
@@ -194,21 +194,21 @@ def check_bias_bound(seed: int = 0, draws: int = 10000,
     terms, _ = _score_terms(group, policy)
     full = -terms.sum(axis=0) / group.group_size
     stats = phase_gradient_stats(group, policy)
+    present = stats.counts > 0
+    grad_norms = np.linalg.norm(stats.gradients[present], axis=1)
     # Toy groups have no padding: the terms are the (G, N) chunks row-major.
     g, n = group.phase_ids.shape
     first_chunk = n * np.arange(g)[:, None]
 
     measured = {}
     for table in _BIAS_P_TABLES:
-        probs = dict(zip(PHASES, table))
-        weights = np.tile(np.asarray(table)[group.phase_ids], (draws, 1))
+        probs = np.asarray(table)
+        weights = np.tile(probs[group.phase_ids], (draws, 1))
         chosen = weighted_sample_rows(weights, budget, rng).reshape(draws, g, -1)
         inclusion = np.bincount((chosen + first_chunk).ravel(), minlength=g * n) / draws
         expected = -(inclusion[:, None] * terms).sum(axis=0) / group.group_size
         bias = float(np.linalg.norm(expected - full))
-        bound = bias_bound(
-            [probs[c] for c in stats.phases],
-            [np.linalg.norm(stats.phase_gradient(c)) for c in stats.phases])
+        bound = bias_bound(probs[present], grad_norms)
         measured[str(table)] = {"bias": bias, "bound": bound}
         if bias > bound:
             return CheckResult("bias_bound", False,
@@ -242,7 +242,7 @@ def check_gradient_finite_difference(seed: int = 0, instances: int = 100,
             for i in range(g)
         ]
         group = RolloutGroup.from_trajectories(trajectories)
-        grad = full_loss_grad(group, policy)
+        grad = masked_loss_grad(group, policy)
         eps = 1e-6
         fd = np.empty_like(grad)
         flat = policy.weights.reshape(-1)

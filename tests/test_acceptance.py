@@ -18,7 +18,7 @@ from chunkmask.grpo import (
     _score_terms,
     phase_gradient_stats,
 )
-from chunkmask.phases import PHASES, LabelingConfig, PhaseLabel, label_phases
+from chunkmask.phases import PHASES, LabelingConfig, PhaseLabel, label_phases, phase_dict
 from chunkmask.sampling import weighted_sample_rows
 from chunkmask.scores import GroupCollapsedError, compute_phase_scores
 from chunkmask.toyworld import (
@@ -104,7 +104,7 @@ def _mean_phase_scores(spec, policy, rollouts, rng):
             report = compute_phase_scores(group)
         except GroupCollapsedError:
             continue
-        for c, v in report.scores.items():
+        for c, v in phase_dict(report).items():
             sums[c].append(v)
     return {c: float(np.mean(v)) for c, v in sums.items() if v}
 
@@ -123,7 +123,7 @@ def test_criterion_06_signal_and_variance_concentration():
 
     oracle = ground_truth_variance(spec, policy, 10000,
                                    np.random.default_rng(100))
-    variances = {c: oracle[c][0] for c in PHASES}
+    variances = dict(zip(PHASES, oracle[0]))
     scores = _mean_phase_scores(spec, policy, 10000, np.random.default_rng(0))
 
     min_crit_c = min(scores[c] for c in CRITICAL)
@@ -157,8 +157,8 @@ def test_criterion_06_signal_and_variance_concentration():
                     gripper=np.zeros(1), labels=[AG], reward=float(success),
                     trajectory_id=i))
             group = RolloutGroup.from_trajectories(trajs, epsilon=0.0)
-            v_c = phase_gradient_stats(group, policy1).variances[AG]
-            c_c = compute_phase_scores(group).scores[AG]
+            v_c = phase_gradient_stats(group, policy1).variances[PHASES.index(AG)]
+            c_c = compute_phase_scores(group)[PHASES.index(AG)]
             bound_ok &= v_c >= c_c**2 / (4.0 * sigma**2)
 
     check(6, "signal-and-variance-concentration",

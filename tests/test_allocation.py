@@ -8,7 +8,6 @@ from chunkmask.allocation import (
     bias_bound,
     estimator_variance,
     integerize,
-    make_plan,
     min_variance,
     neyman_allocation,
     ratio_estimator,
@@ -144,11 +143,3 @@ class TestRatioEstimator:
                                 for s in combinations(range(n), b)], axis=0)
                 assert np.allclose(mean, terms.sum(axis=0), atol=1e-12)
 
-
-def test_make_plan_bundles_quantities():
-    plan = make_plan(stats([10, 5], [4, 1], 6), keep_probs=[1.0, 0.5],
-                     grad_norms=[3.0, 2.0])
-    assert np.allclose(plan.budgets, [4.8, 1.2])
-    assert np.isclose(plan.total_variance, plan.min_variance)
-    assert np.isclose(plan.speedup, 1.36)
-    assert plan.bias_bound == 1.0

@@ -76,20 +76,28 @@ class TestAnalyze:
         captured = capsys.readouterr()
         assert "malformed" in captured.err
 
+    # `value` is JSON text, so that numbers json cannot write (1e999) and
+    # malformed shapes reach the reader as they would in a trace file.
     @pytest.mark.parametrize("field, index, value", [
-        ("gripper", 3, 1.5),
-        ("gripper", 3, -0.1),
-        ("gripper", 3, float("nan")),
-        ("labels", 0, "banana"),
-        ("actions", 0, float("nan")),
-        ("actions", 0, float("inf")),
+        ("gripper", 3, "1.5"),
+        ("gripper", 3, "-0.1"),
+        ("gripper", 3, "NaN"),
+        ("labels", 0, '"banana"'),
+        ("actions", 0, "NaN"),
+        ("actions", 0, "Infinity"),
+        ("actions", 0, "1e999"),
+        ("observations", 0, "[-1e999, 0.0, 0.0, 0.0, 0.0]"),
+        ("actions", 0, '"x"'),
+        ("actions", 0, "[1, 2]"),
+        ("observations", 0, "[0.0, 0.0]"),
     ], ids=["gripper-above-1", "gripper-below-0", "gripper-nan", "unknown-label",
-            "action-nan", "action-infinity"])
+            "action-nan", "action-infinity", "action-overflow", "observation-overflow",
+            "action-string", "action-nested", "observation-short-row"])
     def test_invalid_value_skips_its_line(self, trace_file, capsys, field, index, value):
         lines = trace_file.read_text().splitlines()
         payload = json.loads(lines[0])
-        payload[field][index] = value
-        lines[0] = json.dumps(payload)
+        payload[field][index] = "VALUE"
+        lines[0] = json.dumps(payload).replace('"VALUE"', value)
         trace_file.write_text("\n".join(lines) + "\n")
         assert main(["analyze", str(trace_file)]) == 0
         captured = capsys.readouterr()
@@ -109,6 +117,7 @@ class TestAllocate:
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert report["budgets"] == [4.8, 1.2]
+        assert report["total_variance"] == pytest.approx(report["min_variance"])
         assert report["speedup"] == pytest.approx(1.36)
         assert report["integer_budgets"] == [5, 1]
 

@@ -6,7 +6,6 @@ from chunkmask.grpo import (
     GaussianChunkPolicy,
     RolloutGroup,
     full_loss,
-    full_loss_grad,
     group_advantages,
     masked_loss_grad,
     phase_gradient_stats,
@@ -126,7 +125,7 @@ class TestGradients:
         for _ in range(10):
             group = random_group(rng)
             policy = random_policy(rng)
-            grad = full_loss_grad(group, policy)
+            grad = masked_loss_grad(group, policy)
             eps = 1e-6
             flat = policy.weights.reshape(-1)
             fd = np.empty_like(grad)
@@ -145,8 +144,8 @@ class TestGradients:
         group = random_group(rng, g=6, n=10)
         policy = random_policy(rng)
         stats = phase_gradient_stats(group, policy)
-        assert np.allclose(stats.total_gradient(),
-                           full_loss_grad(group, policy), atol=1e-12)
+        assert np.allclose(stats.gradients.sum(axis=0),
+                           masked_loss_grad(group, policy), atol=1e-12)
 
     def test_masked_equals_full_when_everything_selected(self):
         rng = np.random.default_rng(5)
@@ -154,7 +153,7 @@ class TestGradients:
         policy = random_policy(rng)
         small = shrink_batch(group, np.tile(np.arange(5), (4, 1)))
         assert np.allclose(masked_loss_grad(small, policy),
-                           full_loss_grad(group, policy), atol=1e-14)
+                           masked_loss_grad(group, policy), atol=1e-14)
 
     def test_masked_keeps_source_normalization(self):
         rng = np.random.default_rng(6)
@@ -175,12 +174,12 @@ class TestGradients:
         group = random_group(rng)
         policy = random_policy(rng)
         small = shrink_batch(group, np.tile(np.arange(5), (4, 1)))
-        probs = {c: 1.0 for c in PHASES}
+        probs = np.ones(len(PHASES))
         assert np.allclose(reweighted_loss_grad(small, policy, probs),
-                           full_loss_grad(group, policy))
-        halved = {c: 0.5 for c in PHASES}
+                           masked_loss_grad(group, policy))
+        halved = np.full(len(PHASES), 0.5)
         assert np.allclose(reweighted_loss_grad(small, policy, halved),
-                           2 * full_loss_grad(group, policy))
+                           2 * masked_loss_grad(group, policy))
 
 
 class TestPhaseVariance:
@@ -201,7 +200,7 @@ class TestPhaseVariance:
         terms = np.array(terms)
         centered = terms - terms.mean(axis=0)
         expected = (centered**2).sum() / (len(terms) - 1)
-        assert np.isclose(stats.variances[phase], expected)
+        assert np.isclose(stats.variances[PHASES.index(phase)], expected)
 
     def test_single_chunk_phase_has_no_variance_entry(self):
         rng = np.random.default_rng(10)
@@ -214,5 +213,6 @@ class TestPhaseVariance:
             for i in range(2)
         ]
         stats = phase_gradient_stats(RolloutGroup.from_trajectories(trajs), policy)
-        assert stats.variances == {}
-        assert set(stats.mean_scores) == {PHASES[0], PHASES[1]}
+        assert np.isnan(stats.variances).all()
+        assert stats.counts.tolist() == [1, 1, 0, 0, 0]
+        assert np.isnan(stats.mean_scores[2:]).all() and np.isfinite(stats.mean_scores[:2]).all()

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -151,6 +153,56 @@ class TestProperties:
         commands = np.array([0.0, 0.0, 0.2, 0.2, 0.9, 0.9, 0.9, 0.9,
                              0.3, 0.3, 0.0, 0.0], dtype=float)
         assert label_phases(gripper_close_fraction(commands, 2)) == [AP, PG, AG, AG, RR, RR]
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.1, 0.5, 0.75, 1.0])),
+                    min_size=1, max_size=40),
+           st.integers(1, 4))
+    def test_matches_per_chunk_reference(self, g_f, window_len):
+        cfg = LabelingConfig(window_len=window_len)
+        assert label_phases(g_f, cfg) == reference_labels(g_f, cfg)
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=60), st.integers(1, 8),
+           st.integers(1, 3), st.sampled_from([0.0, 1.0]), st.integers(0, 2**32 - 1))
+    def test_labels_blind_to_reward_and_actions(self, gripper, chunk_len, dim, reward, seed):
+        rng = np.random.default_rng(seed)
+        n = -(-len(gripper) // chunk_len)
+        record = TraceRecord(
+            trajectory_id=0, task_id="t", reward=reward, chunk_len=chunk_len,
+            gripper=gripper, observations=rng.normal(size=(n, 2)).tolist(),
+            actions=rng.normal(size=len(gripper) * dim).tolist(), action_dim=dim)
+        flipped = replace(record, reward=1.0 - reward,
+                          actions=(np.asarray(record.actions) + rng.normal(
+                              scale=10.0, size=len(record.actions))).tolist())
+        assert flipped.to_trajectory().labels == record.to_trajectory().labels
+
+
+def reference_labels(g_f, cfg):
+    """The five rules applied chunk by chunk in priority order: active-grip,
+    pre-grasp, release-ramp, tail, and approach for everything else."""
+    closed = [g >= cfg.sustained_close_threshold for g in g_f]
+    intervals, j = [], 0
+    while j < len(g_f):
+        if closed[j]:
+            start = j
+            while j + 1 < len(g_f) and closed[j + 1]:
+                j += 1
+            intervals.append((start, j))
+        j += 1
+    w, labels = cfg.window_len, []
+    for j, g in enumerate(g_f):
+        if g >= cfg.active_grip_threshold:
+            labels.append(AG)
+        elif g >= cfg.pre_grasp_low and any(0 < s - j <= w for s, _ in intervals):
+            labels.append(PG)
+        elif any(0 < j - e <= w for _, e in intervals):
+            labels.append(RR)
+        elif intervals and j > intervals[-1][1] + w and g < cfg.pre_grasp_low:
+            labels.append(TL)
+        else:
+            labels.append(AP)
+    return labels
 
 
 class TestConfigValidation:

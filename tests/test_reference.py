@@ -14,7 +14,6 @@ from chunkmask.grpo import (
     ChunkedTrajectory,
     GaussianChunkPolicy,
     RolloutGroup,
-    full_loss_grad,
     masked_loss_grad,
     reweighted_loss_grad,
 )
@@ -88,9 +87,9 @@ def test_phase_scores_match_pooled_reference(case):
     trajectories, _ = case
     report = compute_phase_scores(RolloutGroup.from_trajectories(trajectories))
     expected = reference_scores(trajectories)
-    assert set(report.scores) == set(expected)
+    assert {PHASES[k] for k in np.flatnonzero(np.isfinite(report))} == set(expected)
     for phase, value in expected.items():
-        np.testing.assert_allclose(report.scores[phase], value, **TOL)
+        np.testing.assert_allclose(report[PHASES.index(phase)], value, **TOL)
 
 
 @SETTINGS
@@ -99,7 +98,7 @@ def test_full_gradient_matches_per_chunk_sum(case):
     trajectories, policy = case
     group = RolloutGroup.from_trajectories(trajectories)
     expected = reference_grad(trajectories, group.advantages, policy, len(trajectories))
-    np.testing.assert_allclose(full_loss_grad(group, policy), expected, **TOL)
+    np.testing.assert_allclose(masked_loss_grad(group, policy), expected, **TOL)
 
 
 @SETTINGS
@@ -116,9 +115,9 @@ def test_masked_and_reweighted_gradients_match_per_chunk_sums(case, seed):
     expected = reference_grad(trajectories, group.advantages, policy, g, chosen)
     np.testing.assert_allclose(masked_loss_grad(small, policy), expected, **TOL)
 
-    probs = dict(zip(PHASES, rng.uniform(0.1, 1.0, size=len(PHASES))))
+    probs = rng.uniform(0.1, 1.0, size=len(PHASES))
     expected = reference_grad(trajectories, group.advantages, policy, g, chosen,
-                              scale=lambda phase: 1.0 / probs[phase])
+                              scale=lambda phase: 1.0 / probs[PHASES.index(phase)])
     np.testing.assert_allclose(reweighted_loss_grad(small, policy, probs), expected, **TOL)
 
 

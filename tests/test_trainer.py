@@ -130,8 +130,7 @@ class TestAllocationTracking:
         policy = initial_policy(spec)
         oracle = ground_truth_variance(spec, policy, 10000,
                                        np.random.default_rng(42))
-        counts = spec.phase_counts()
-        weights = {c: counts[c] * np.sqrt(oracle[c][0]) for c in PHASES}
+        weights = dict(zip(PHASES, np.bincount(spec.layout_ids) * np.sqrt(oracle[0])))
 
         cfg = TrainConfig(mode="pcm", budget=6, steps=120, seed=0)
         run = train(cfg, spec)
