@@ -54,6 +54,7 @@ from .toyworld import (
     initial_policy,
 )
 from .traces import (
+    GroupShapeError,
     TraceFormatError,
     TraceRecord,
     read_traces,

@@ -11,7 +11,7 @@ import numpy as np
 from .phases import phase_dict
 from .sampling import weighted_sample_without_replacement
 from .scores import GroupCollapsedError, PhaseScoreState, compute_phase_scores
-from .traces import group_records, records_to_group
+from .traces import GroupShapeError, group_records, records_to_group
 
 
 @dataclass
@@ -34,8 +34,9 @@ def _score_groups(records, p_min: float = 0.1):
     """Build and score every task group once. Returns the per-group analyses
     (file order), the groups, and the refreshed keep-probability state.
 
-    Groups whose rewards have zero variance are reported as skipped; a group
-    with fewer than 2 trajectories is an input error.
+    Groups whose rewards have zero variance, or whose trajectories differ in
+    chunk shape (their group is None), are reported as skipped; a group with
+    fewer than 2 trajectories is an input error.
     """
     grouped = group_records(records)
     if not grouped:
@@ -46,18 +47,18 @@ def _score_groups(records, p_min: float = 0.1):
         if len(members) < 2:
             raise ValueError(
                 f"task {task_id!r}: group size {len(members)} < 2")
-        group = records_to_group(members)
-        groups.append(group)
+        analysis, group = GroupAnalysis(task_id=task_id, num_trajectories=len(members)), None
         try:
-            scores = compute_phase_scores(group)
+            group = records_to_group(members)
+            analysis.report = compute_phase_scores(group)
+        except GroupShapeError as exc:
+            analysis.skipped_reason = str(exc)
         except GroupCollapsedError:
-            analyses.append(GroupAnalysis(
-                task_id=task_id, num_trajectories=len(members),
-                skipped_reason="zero reward variance"))
-            continue
-        state.append_scores(scores)
-        analyses.append(GroupAnalysis(
-            task_id=task_id, num_trajectories=len(members), report=scores))
+            analysis.skipped_reason = "zero reward variance"
+        else:
+            state.append_scores(analysis.report)
+        analyses.append(analysis)
+        groups.append(group)
 
     if state.buffers_empty:
         raise ValueError("every group was skipped; nothing to score")
@@ -90,6 +91,7 @@ class BudgetSweep:
     knee_fraction: float
     knee_captured: float
     knee_defined: bool
+    skipped: list = field(default_factory=list)  # reasons, for groups left off the curve
 
 
 def knee_point(fractions, captured) -> tuple:
@@ -112,7 +114,8 @@ def sweep_budget(records) -> BudgetSweep:
     score mass is captured as the retained fraction grows."""
     analyses, groups, _ = _score_groups(records)
     scores = np.nansum([a.report for a in analyses if a.report is not None], axis=0)
-    chunk_scores = np.concatenate([scores[g.phase_ids[g.chunk_mask]] for g in groups])
+    chunk_scores = np.concatenate([scores[g.phase_ids[g.chunk_mask]]
+                                   for g in groups if g is not None])
     chunk_scores = np.sort(chunk_scores)[::-1]
 
     total = chunk_scores.sum()
@@ -126,4 +129,5 @@ def sweep_budget(records) -> BudgetSweep:
     return BudgetSweep(
         fractions=fractions, captured=captured, knee_index=index,
         knee_fraction=float(fractions[index]),
-        knee_captured=float(captured[index]), knee_defined=defined)
+        knee_captured=float(captured[index]), knee_defined=defined,
+        skipped=[a.skipped_reason for a, g in zip(analyses, groups) if g is None])

@@ -141,6 +141,8 @@ def _cmd_allocate(args) -> int:
 def _cmd_sweep_budget(args) -> int:
     records = _read_traces_lenient(args.traces)
     sweep = sweep_budget(records)
+    for reason in sweep.skipped:
+        print(f"warning: skipped group ({reason})", file=sys.stderr)
     report = {
         "knee_fraction": sweep.knee_fraction,
         "knee_captured": sweep.knee_captured,

@@ -103,12 +103,15 @@ def shrink_batch(group: RolloutGroup, indices) -> RolloutGroup:
     if idx.ndim != 2 or idx.shape[0] != g:
         raise ValueError("need exactly one row of chunk indices per trajectory")
     rows = np.arange(g)[:, None]
-    if idx.size and (idx.min() < 0 or idx.max() >= n or not group.chunk_mask[rows, idx].all()):
+    in_range = idx.size == 0 or (idx.min() >= 0 and idx.max() < n)
+    valid = group.valid[rows, idx] if in_range else None
+    # Every kept chunk must hold a real timestep, not only padding.
+    if not in_range or not valid.any(axis=2).all():
         raise ValueError(f"chunk indices {idx.tolist()} reference chunks outside "
                          "the trajectories")
     return RolloutGroup(
         observations=group.observations[rows, idx], actions=group.actions[rows, idx],
-        phase_ids=group.phase_ids[rows, idx], valid=group.valid[rows, idx],
+        phase_ids=group.phase_ids[rows, idx], valid=valid,
         rewards=group.rewards, gripper=group.gripper[rows, idx],
         trajectory_ids=group.trajectory_ids, chunk_indices=group.chunk_indices[rows, idx],
         epsilon=group.epsilon, advantages=group.advantages, group_size=group.group_size)

@@ -133,31 +133,55 @@ def initial_policy(spec: ToyTaskSpec, sigma: float = 0.3,
                                action_dim=spec.action_dim)
 
 
+def phase_mean_action(actions: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """(num, D) mean action over the chunks idx (sorted, unique, nonempty) of
+    actions (num, N, L, D), in the summation order generate_batch fixes. Bit
+    for bit actions[:, idx].mean(axis=(1, 2)) when D >= 2; for D = 1 numpy
+    sums that reduction pairwise, so the two differ in the last bits."""
+    num, _, l, d = actions.shape
+    if idx[-1] - idx[0] + 1 == idx.size:  # contiguous, as in every profile: a view
+        block = actions[:, idx[0]:idx[-1] + 1]
+    else:
+        block = actions[:, idx]
+    return np.einsum("nkd->nd", block.reshape(num, -1, d)) / (idx.size * l)
+
+
 def generate_batch(spec: ToyTaskSpec, policy: GaussianChunkPolicy, num: int,
                    rng: np.random.Generator, greedy: bool = False):
     """Vectorized rollout generation.
 
     Returns (observations (num, N, F), actions (num, N, L, D),
     rewards (num,), distances {phase: (num,)}).
+
+    Summation-order contract: the draws, their order and shapes, and every
+    rounding that feeds a reward are fixed, so a seed gives the same
+    rollouts, rewards and training runs bit for bit. The realized mean
+    action of a critical phase with K chunks (phase_mean_action) adds its
+    K*L timesteps one after another, in chunk then timestep order,
+    separately for each action dimension, and divides by K*L once. Another
+    order (pairwise, chunk by chunk, over a transposed copy) can move that
+    mean by an ulp, enough to flip a reward lying at the tolerance and with
+    it every random stream downstream.
     """
     n, f = spec.chunks_per_traj, spec.num_features
     l, d = spec.chunk_len, spec.action_dim
 
-    obs = spec.layout_onehot[None] + spec.obs_noise * rng.standard_normal((num, n, f))
-    mean = obs @ policy.weights  # (num, N, L*D)
-    if greedy:
-        actions = mean
-    else:
-        noise = rng.standard_normal(mean.shape)
+    obs = rng.standard_normal((num, n, f))
+    obs *= spec.obs_noise
+    obs += spec.layout_onehot
+    actions = obs @ policy.weights  # (num, N, L*D) means, plus noise unless greedy
+    if not greedy:
+        noise = rng.standard_normal(actions.shape)
         noise_scale = np.array([spec.exec_noise[c] for c in PHASES])[spec.layout_ids]
-        actions = mean + policy.sigma * noise_scale[None, :, None] * noise
+        noise *= policy.sigma * noise_scale[:, None]
+        actions += noise
     actions = actions.reshape(num, n, l, d)
 
     rewards = np.ones(num)
     distances = {}
     for phase in spec.critical_phases:
         idx = np.flatnonzero(spec.layout_ids == spec.phase_index(phase))
-        realized = actions[:, idx].mean(axis=(1, 2))  # (num, D)
+        realized = phase_mean_action(actions, idx)  # (num, D)
         jitter = spec.target_jitter * rng.standard_normal((num, d))
         dist = np.linalg.norm(realized - spec.targets[phase][None] - jitter, axis=1)
         distances[phase] = dist

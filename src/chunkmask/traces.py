@@ -23,6 +23,11 @@ class TraceFormatError(ValueError):
         self.line_number = line_number
 
 
+class GroupShapeError(ValueError):
+    """The trajectories of one task group differ in observation width, chunk
+    length or action dimension, so they cannot be stacked into a group."""
+
+
 def _reject_constant(name: str):
     raise ValueError(f"non-finite number {name}")
 
@@ -196,7 +201,18 @@ def group_records(records) -> dict:
 
 
 def records_to_group(records, epsilon: float = 1e-6) -> RolloutGroup:
+    """Stack one task's records into a RolloutGroup. Raises GroupShapeError,
+    naming the task, the trajectory and both shapes, when a record's
+    observation width or (chunk length, action dimension) differs from the
+    first record's."""
     if len(records) < 2:
         raise ValueError("a rollout group needs at least 2 trajectories")
-    return RolloutGroup.from_trajectories(
-        [r.to_trajectory() for r in records], epsilon=epsilon)
+    trajectories = [r.to_trajectory() for r in records]
+    shapes = [(t.observations.shape[1], *t.actions.shape[1:]) for t in trajectories]
+    for record, shape in zip(records, shapes):
+        if shape != shapes[0]:
+            raise GroupShapeError(
+                f"task {record.task_id!r}: trajectory {record.trajectory_id} has chunk "
+                f"shape (features, steps, action dims) {shape}, trajectory "
+                f"{records[0].trajectory_id} has {shapes[0]}")
+    return RolloutGroup.from_trajectories(trajectories, epsilon=epsilon)

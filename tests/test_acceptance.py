@@ -234,14 +234,18 @@ def test_criterion_11_phase_labeling():
     ]
     golden_ok = all(label_phases(g, cfg) == expected for g, expected in golden)
 
-    # Reward-blindness: identical gripper traces with perturbed rewards.
+    # Reward-blindness: label-free trace records of a toy group are labelled
+    # from their gripper traces by the reader, before and after each reward
+    # is flipped.
     spec = ToyTaskSpec()
     policy = initial_policy(spec)
     group = generate_group(spec, policy, 6, 0)
-    labels = [t.labels for t in group.trajectories]
-    for t in group.trajectories:
-        t.reward = 1.0 - t.reward
-    blind_ok = labels == [t.labels for t in group.trajectories] and all(
+    records = [TraceRecord.from_trajectory(t, "task-0", include_labels=False)
+               for t in group.trajectories]
+    labels = [r.to_trajectory().labels for r in records]
+    for r in records:
+        r.reward = 1.0 - r.reward
+    blind_ok = labels == [r.to_trajectory().labels for r in records] and all(
         lab == spec.phase_layout() for lab in labels)
     check(11, "phase-labeling", golden_ok and blind_ok,
           f"golden {golden_ok}, reward-blind {blind_ok}")

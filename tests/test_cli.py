@@ -76,6 +76,28 @@ class TestAnalyze:
         captured = capsys.readouterr()
         assert "malformed" in captured.err
 
+    def test_group_with_mixed_chunk_shapes_is_skipped(self, trace_file, capsys):
+        # Trajectory 4 of task-1 (line 15) has 3 observation features, the
+        # rest of its group 5: that group is skipped with a reason naming
+        # the task, the trajectory and both shapes; the others are analyzed
+        # exactly as in a file without task-1.
+        lines = trace_file.read_text().splitlines()
+        payload = json.loads(lines[14])
+        payload["observations"] = [row[:3] for row in payload["observations"]]
+        trace_file.write_text("\n".join(lines[:14] + [json.dumps(payload)] + lines[15:]) + "\n")
+        assert main(["analyze", str(trace_file)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        trace_file.write_text("\n".join(lines[:10] + lines[20:]) + "\n")
+        assert main(["analyze", str(trace_file)]) == 0
+        reference = json.loads(capsys.readouterr().out)
+
+        skipped = report["groups"].pop(1)
+        assert skipped["task_id"] == "task-1" and "masks" not in skipped
+        assert skipped["skipped"] == (
+            "task 'task-1': trajectory 4 has chunk shape (features, steps, action dims) "
+            "(3, 8, 2), trajectory 0 has (5, 8, 2)")
+        assert report == reference
+
     # `value` is JSON text, so that numbers json cannot write (1e999) and
     # malformed shapes reach the reader as they would in a trace file.
     @pytest.mark.parametrize("field, index, value", [
@@ -133,6 +155,18 @@ class TestSweepBudget:
         assert report["knee_defined"]
         assert 0.0 < report["knee_fraction"] < 1.0
         assert len(report["curve"]) == 4 * 10 * 16
+
+    def test_group_with_mixed_chunk_shapes_is_skipped(self, trace_file, capsys):
+        lines = trace_file.read_text().splitlines()
+        payload = json.loads(lines[14])
+        payload["observations"] = [row[:3] for row in payload["observations"]]
+        trace_file.write_text("\n".join(lines[:14] + [json.dumps(payload)] + lines[15:]) + "\n")
+        assert main(["sweep-budget", str(trace_file)]) == 0
+        captured = capsys.readouterr()
+        assert "skipped group (task 'task-1': trajectory 4 has chunk shape" in captured.err
+        trace_file.write_text("\n".join(lines[:10] + lines[20:]) + "\n")
+        assert main(["sweep-budget", str(trace_file)]) == 0
+        assert json.loads(captured.out) == json.loads(capsys.readouterr().out)
 
 
 class TestVerify:

@@ -123,6 +123,20 @@ class TestShrinkBatch:
         with pytest.raises(ValueError):
             shrink_batch(group, np.zeros((1, 1), dtype=int))
 
+    def test_partial_chunk_kept_padding_only_chunk_rejected(self):
+        # Trajectory 1 holds 7 real timesteps in 3 chunks of length 3 and is
+        # padded to the group's 4: its chunk 2 is partial, chunk 3 padding only.
+        rng = np.random.default_rng(1)
+        trajectories = [
+            ChunkedTrajectory(
+                observations=rng.normal(size=(k, 2)), actions=rng.normal(size=(k, 3, 1)),
+                gripper=np.zeros(t), labels=[AG] * k, reward=float(i), trajectory_id=i)
+            for i, (k, t) in enumerate([(4, 12), (3, 7)])]
+        group = RolloutGroup.from_trajectories(trajectories)
+        assert shrink_batch(group, [[3], [2]]).valid[1, 0].tolist() == [True, False, False]
+        with pytest.raises(ValueError):
+            shrink_batch(group, [[2], [3]])
+
     def test_out_of_range_mask_rejected(self):
         group = make_group()
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chunkmask.phases import PHASES, PhaseLabel
 from chunkmask.toyworld import (
@@ -8,6 +10,7 @@ from chunkmask.toyworld import (
     generate_batch,
     generate_group,
     initial_policy,
+    phase_mean_action,
 )
 
 AG = PhaseLabel.ACTIVE_GRIP
@@ -111,3 +114,25 @@ class TestRollouts:
         generate_batch(spec, policy, 4, np.random.default_rng(0), greedy=True)
         assert calls == []
         assert group.phase_ids.tolist() == [spec.layout_ids.tolist()] * 4
+
+
+class TestPhaseMeanAction:
+    """generate_batch's summation-order contract. For D = 1 numpy's
+    mean(axis=(1, 2)) sums pairwise and differs by ulps, so D starts at 2;
+    no spec uses D = 1."""
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.data(), st.integers(2, 3), st.integers(1, 12), st.integers(1, 40),
+           st.integers(1, 10), st.booleans())
+    def test_equals_numpy_mean_bit_for_bit(self, data, d, num, n, l, contiguous):
+        k = data.draw(st.integers(1, n))
+        if contiguous:
+            start = data.draw(st.integers(0, n - k))
+            idx = np.arange(start, start + k)
+        else:
+            idx = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1),
+                                                    min_size=k, max_size=k))))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        actions = rng.standard_normal((num, n, l, d)) * 10.0 ** rng.uniform(-3, 3)
+        assert np.array_equal(phase_mean_action(actions, idx),
+                              actions[:, idx].mean(axis=(1, 2)))
