@@ -34,9 +34,10 @@ def _score_groups(records, p_min: float = 0.1):
     """Build and score every task group once. Returns the per-group analyses
     (file order), the groups, and the refreshed keep-probability state.
 
-    Groups whose rewards have zero variance, or whose trajectories differ in
-    chunk shape (their group is None), are reported as skipped; a group with
-    fewer than 2 trajectories is an input error.
+    Groups whose rewards have zero variance, and groups that cannot be
+    stacked (fewer than 2 trajectories, or trajectories that differ in chunk
+    shape; their group is None), are reported as skipped; if every group is,
+    the ValueError names each reason.
     """
     grouped = group_records(records)
     if not grouped:
@@ -44,9 +45,6 @@ def _score_groups(records, p_min: float = 0.1):
     state = PhaseScoreState(refresh_window=len(grouped), floor=p_min)
     analyses, groups = [], []
     for task_id, members in grouped.items():
-        if len(members) < 2:
-            raise ValueError(
-                f"task {task_id!r}: group size {len(members)} < 2")
         analysis, group = GroupAnalysis(task_id=task_id, num_trajectories=len(members)), None
         try:
             group = records_to_group(members)
@@ -61,7 +59,8 @@ def _score_groups(records, p_min: float = 0.1):
         groups.append(group)
 
     if state.buffers_empty:
-        raise ValueError("every group was skipped; nothing to score")
+        raise ValueError("every group was skipped; nothing to score ("
+                         + "; ".join(a.skipped_reason for a in analyses) + ")")
     state.refresh()
     return analyses, groups, state
 

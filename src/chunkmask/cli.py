@@ -79,6 +79,8 @@ def _cmd_train(args) -> int:
         mode=_CLI_MODES[args.mode], group_size=args.group_size,
         budget=args.budget, refresh_window=args.refresh, p_min=args.pmin,
         learning_rate=args.lr, steps=args.steps, seed=args.seed)
+    if args.seeds < 1:
+        raise ValueError(f"--seeds must be >= 1, got {args.seeds}")
     spec = ToyTaskSpec(chunks_per_traj=args.chunks_per_traj)
     seeds = range(args.seed, args.seed + args.seeds)
     runs = run_seeds(config, seeds, spec)

@@ -12,7 +12,6 @@ from rollout to gradient:
                                  chunks past a shorter trajectory's end
     gripper        (G, N, L)     per-timestep gripper-close commands
     rewards        (G,)          binary outcomes; advantages, trajectory_ids (G,)
-    chunk_indices  (G, N)        chunk positions in the source trajectory
 
 Scores and gradients weight every timestep by `valid`, so padding never
 counts. Shrinking a group to selected chunks gathers along the chunk axis
@@ -24,9 +23,9 @@ Per-phase values are (P,) arrays indexed by phase id, NaN where a phase
 has no value: keep probabilities for reweighted_loss_grad, and the counts,
 mean score terms (P, K) and variances of PhaseGradientStats.
 
-ChunkedTrajectory is the per-trajectory form used at the edges: trace I/O,
-the labeler and tests (RolloutGroup.from_trajectories and .trajectories
-convert between the two).
+ChunkedTrajectory is the per-trajectory form used at the edges, trace I/O
+and tests; it carries the same phase ids, (N,) per trajectory
+(RolloutGroup.from_trajectories and .trajectories convert between the two).
 """
 
 from __future__ import annotations
@@ -35,36 +34,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phases import PHASES, PhaseLabel, phase_ids
+from .phases import PHASES
 
 
 @dataclass
 class ChunkedTrajectory:
     """One rollout: per-chunk observations and actions plus the gripper trace,
-    phase labels, and binary reward.
+    phase ids, and binary reward.
 
-    observations: (N, F); actions: (N, L, D); chunk_indices tracks the
-    original chunk positions so compacted trajectories stay traceable.
+    observations: (N, F); actions: (N, L, D); phase_ids: (N,) indices into
+    PHASES.
     """
 
     observations: np.ndarray
     actions: np.ndarray
     gripper: np.ndarray
-    labels: list[PhaseLabel]
+    phase_ids: np.ndarray
     reward: float
-    chunk_indices: np.ndarray = None
     trajectory_id: int = 0
 
     def __post_init__(self):
         self.observations = np.asarray(self.observations, dtype=float)
         self.actions = np.asarray(self.actions, dtype=float)
+        self.phase_ids = np.asarray(self.phase_ids, dtype=int)
         n = self.observations.shape[0]
-        if self.actions.shape[0] != n or len(self.labels) != n:
-            raise ValueError("observations, actions, and labels must cover the same chunks")
-        if self.chunk_indices is None:
-            self.chunk_indices = np.arange(n)
-        else:
-            self.chunk_indices = np.asarray(self.chunk_indices, dtype=int)
+        if self.actions.shape[0] != n or self.phase_ids.shape != (n,):
+            raise ValueError("observations, actions, and phase ids must cover the same chunks")
 
     @property
     def num_chunks(self) -> int:
@@ -83,28 +78,24 @@ class RolloutGroup:
     rewards: np.ndarray
     gripper: np.ndarray
     trajectory_ids: np.ndarray = None
-    chunk_indices: np.ndarray = None
-    epsilon: float = 1e-6
     advantages: np.ndarray = None
     # Group size of the uncompacted source group; kept through shrinking so
     # the masked loss normalizes identically to the full loss.
     group_size: int = None
 
     def __post_init__(self):
-        g, n = self.phase_ids.shape
+        g = self.phase_ids.shape[0]
         if self.trajectory_ids is None:
             self.trajectory_ids = np.arange(g)
-        if self.chunk_indices is None:
-            self.chunk_indices = np.broadcast_to(np.arange(n), (g, n))
         if self.group_size is None:
             self.group_size = g
         if self.advantages is None:
-            self.advantages = group_advantages(self.rewards, self.epsilon)
+            self.advantages = group_advantages(self.rewards)
         else:
             self.advantages = np.asarray(self.advantages, dtype=float)
 
     @classmethod
-    def from_trajectories(cls, trajectories, epsilon: float = 1e-6) -> "RolloutGroup":
+    def from_trajectories(cls, trajectories) -> "RolloutGroup":
         """Stack ChunkedTrajectory objects, zero-padding shorter ones. A
         trajectory's real timesteps are the first len(gripper) of its
         chunks; the rest of its chunks is marked invalid."""
@@ -113,29 +104,27 @@ class RolloutGroup:
         f = trajectories[0].observations.shape[1]
         l, d = trajectories[0].actions.shape[1:]
         obs, actions = np.zeros((g, n, f)), np.zeros((g, n, l, d))
-        ids, chunk_indices = np.zeros((g, n), dtype=int), np.zeros((g, n), dtype=int)
-        valid, gripper = np.zeros((g, n, l), dtype=bool), np.zeros((g, n, l))
+        ids, valid = np.zeros((g, n), dtype=int), np.zeros((g, n, l), dtype=bool)
+        gripper = np.zeros((g, n, l))
         for i, traj in enumerate(trajectories):
             k, t = traj.num_chunks, min(len(traj.gripper), traj.num_chunks * l)
             obs[i, :k], actions[i, :k] = traj.observations, traj.actions
-            ids[i, :k], chunk_indices[i, :k] = phase_ids(traj.labels), traj.chunk_indices
+            ids[i, :k] = traj.phase_ids
             valid[i].reshape(-1)[:t] = True
             gripper[i].reshape(-1)[:t] = traj.gripper[:t]
         return cls(obs, actions, ids, valid,
                    np.array([t.reward for t in trajectories], dtype=float),
-                   gripper, np.array([t.trajectory_id for t in trajectories]),
-                   chunk_indices, epsilon)
+                   gripper, np.array([t.trajectory_id for t in trajectories]))
 
     @property
     def trajectories(self) -> list[ChunkedTrajectory]:
         """Per-trajectory view without padding, for trace writing and tests."""
-        chunks, ids = self.chunk_mask.sum(axis=1).tolist(), self.phase_ids.tolist()
+        chunks = self.chunk_mask.sum(axis=1).tolist()
         return [
             ChunkedTrajectory(
                 observations=self.observations[i, :k], actions=self.actions[i, :k],
                 gripper=self.gripper[i, :k][self.valid[i, :k]],
-                labels=[PHASES[c] for c in ids[i][:k]], reward=reward,
-                chunk_indices=self.chunk_indices[i, :k], trajectory_id=tid)
+                phase_ids=self.phase_ids[i, :k], reward=reward, trajectory_id=tid)
             for i, (k, reward, tid) in enumerate(
                 zip(chunks, self.rewards.tolist(), self.trajectory_ids.tolist()))
         ]
@@ -189,21 +178,10 @@ class GaussianChunkPolicy:
         batch (..., F)."""
         return np.asarray(obs, dtype=float) @ self.weights
 
-    def sample(self, obs: np.ndarray, rng: np.random.Generator,
-               noise_scale: float = 1.0) -> np.ndarray:
-        """Draw actions around the mean; noise_scale rescales sigma (1.0 is
-        on-policy sampling, 0.0 is greedy)."""
-        mu = self.mean(obs)
-        return mu + noise_scale * self.sigma * rng.standard_normal(mu.shape)
-
-    def log_prob(self, obs: np.ndarray, actions: np.ndarray) -> float:
-        """Log density of a factorized Gaussian over all L*D action entries."""
-        return self.logprob_grad(obs, actions)[0]
-
     def logprob_grad(self, obs: np.ndarray, actions: np.ndarray):
-        """(log probability, gradient wrt weights) for one chunk.
-
-        The score is outer(obs, (a - mu) / sigma^2), shape (F, L*D).
+        """(log probability, gradient wrt weights) for one chunk. The log
+        probability is that of a factorized Gaussian over all L*D action
+        entries; the score is outer(obs, (a - mu) / sigma^2), shape (F, L*D).
         """
         obs = np.asarray(obs, dtype=float)
         delta = np.asarray(actions, dtype=float).reshape(-1) - self.mean(obs)

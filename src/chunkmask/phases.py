@@ -2,8 +2,8 @@
 
 A trajectory's gripper-close commands (reals in [0, 1]) are averaged per
 chunk, sustained-close intervals are located, and each chunk gets one of
-five semantic phase labels. Labels depend only on the gripper trace, never
-on the trajectory outcome.
+five semantic phases, as its phase id (an index into PHASES). Phases depend
+only on the gripper trace, never on the trajectory outcome.
 """
 
 from __future__ import annotations
@@ -23,8 +23,10 @@ class PhaseLabel(Enum):
     TAIL = "tail"
 
 
-# Priority order for overlapping window rules (highest first).
-PHASE_PRIORITY = (
+# Canonical ordering used for arrays indexed by phase: a phase id is an
+# index into PHASES. It is also the priority order for overlapping window
+# rules (highest first).
+PHASES = (
     PhaseLabel.ACTIVE_GRIP,
     PhaseLabel.PRE_GRASP,
     PhaseLabel.RELEASE_RAMP,
@@ -32,14 +34,11 @@ PHASE_PRIORITY = (
     PhaseLabel.TAIL,
 )
 
-# Canonical ordering used for arrays indexed by phase: a phase id is an
-# index into PHASES.
-PHASES = PHASE_PRIORITY
-
 
 def phase_ids(labels) -> np.ndarray:
-    """Integer phase ids (indices into PHASES) of a sequence of labels."""
-    return np.array([PHASES.index(c) for c in labels], dtype=int)
+    """Integer phase ids (indices into PHASES) of a sequence of label names
+    or PhaseLabel members."""
+    return np.array([PHASES.index(PhaseLabel(c)) for c in labels], dtype=int)
 
 
 def phase_dict(values) -> dict:
@@ -88,8 +87,8 @@ def find_sustained_intervals(g_f, threshold: float) -> list[tuple[int, int]]:
     return list(zip(edges[::2].tolist(), (edges[1::2] - 1).tolist()))
 
 
-def label_phases(g_f, cfg: LabelingConfig = LabelingConfig()) -> list[PhaseLabel]:
-    """Assign one phase label per chunk.
+def label_phases(g_f, cfg: LabelingConfig = LabelingConfig()) -> np.ndarray:
+    """Assign one phase per chunk, as a (N,) array of phase ids.
 
     Rules, resolved by the priority ACTIVE_GRIP > PRE_GRASP > RELEASE_RAMP >
     APPROACH > TAIL:
@@ -109,15 +108,15 @@ def label_phases(g_f, cfg: LabelingConfig = LabelingConfig()) -> list[PhaseLabel
     intervals = find_sustained_intervals(g_f, cfg.sustained_close_threshold)
     j, w = np.arange(g_f.size), cfg.window_len
     below_grip = g_f < cfg.active_grip_threshold
-    labels = np.full(g_f.size, PhaseLabel.APPROACH, dtype=object)
+    ids = np.full(g_f.size, PHASES.index(PhaseLabel.APPROACH))
     # Each assignment below overrides the previous ones, implementing the
     # priority ordering from lowest to highest.
     if intervals:
-        labels[(j > intervals[-1][1] + w) & (g_f < cfg.pre_grasp_low)] = PhaseLabel.TAIL
+        ids[(j > intervals[-1][1] + w) & (g_f < cfg.pre_grasp_low)] = PHASES.index(PhaseLabel.TAIL)
     for _, end in intervals:
-        labels[(j > end) & (j <= end + w) & below_grip] = PhaseLabel.RELEASE_RAMP
+        ids[(j > end) & (j <= end + w) & below_grip] = PHASES.index(PhaseLabel.RELEASE_RAMP)
     for start, _ in intervals:
-        labels[(j >= start - w) & (j < start) & below_grip
-               & (g_f >= cfg.pre_grasp_low)] = PhaseLabel.PRE_GRASP
-    labels[~below_grip] = PhaseLabel.ACTIVE_GRIP
-    return labels.tolist()
+        ids[(j >= start - w) & (j < start) & below_grip
+            & (g_f >= cfg.pre_grasp_low)] = PHASES.index(PhaseLabel.PRE_GRASP)
+    ids[~below_grip] = PHASES.index(PhaseLabel.ACTIVE_GRIP)
+    return ids

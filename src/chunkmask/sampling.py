@@ -94,9 +94,9 @@ def shrink_batch(group: RolloutGroup, indices) -> RolloutGroup:
     row i of indices (G, m) holds the chunk positions kept from trajectory i.
 
     Every retained chunk keeps its observation, actions, validity, gripper
-    commands, phase id and original chunk index, and every trajectory its
-    reward and advantage; the compacted group remembers the source group size
-    so loss normalization is unchanged.
+    commands and phase id, and every trajectory its reward and advantage;
+    the compacted group remembers the source group size so loss
+    normalization is unchanged.
     """
     idx = np.asarray(indices, dtype=int)
     g, n = group.phase_ids.shape
@@ -113,5 +113,5 @@ def shrink_batch(group: RolloutGroup, indices) -> RolloutGroup:
         observations=group.observations[rows, idx], actions=group.actions[rows, idx],
         phase_ids=group.phase_ids[rows, idx], valid=valid,
         rewards=group.rewards, gripper=group.gripper[rows, idx],
-        trajectory_ids=group.trajectory_ids, chunk_indices=group.chunk_indices[rows, idx],
-        epsilon=group.epsilon, advantages=group.advantages, group_size=group.group_size)
+        trajectory_ids=group.trajectory_ids, advantages=group.advantages,
+        group_size=group.group_size)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grpo import GaussianChunkPolicy, RolloutGroup, _score_terms
-from .phases import PHASES, LabelingConfig, PhaseLabel, label_phases, phase_ids
+from .phases import PHASES, PhaseLabel, label_phases
 
 _DEFAULT_TARGETS = {
     PhaseLabel.ACTIVE_GRIP: (0.9, -0.4),
@@ -81,9 +81,9 @@ class ToyTaskSpec:
     target_jitter: float = 0.05
     obs_noise: float = 0.003
     gripper_profile: np.ndarray = None
-    labeling: LabelingConfig = field(default_factory=LabelingConfig)
     # Phase ids (N,) and their one-hot rows (N, F) of the scripted profile,
-    # labelled once at construction: the layout is the same for every rollout.
+    # labelled once at construction with the default LabelingConfig, as trace
+    # records are: the layout is the same for every rollout.
     layout_ids: np.ndarray = field(init=False, repr=False, compare=False)
     layout_onehot: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -93,25 +93,13 @@ class ToyTaskSpec:
         self.gripper_profile = np.asarray(self.gripper_profile, dtype=float)
         if self.gripper_profile.size != self.chunks_per_traj:
             raise ValueError("gripper profile length must equal chunks_per_traj")
-        self.layout_ids = phase_ids(label_phases(self.gripper_profile, self.labeling))
+        self.layout_ids = label_phases(self.gripper_profile)
         self.layout_onehot = np.eye(len(PHASES))[self.layout_ids]
         if np.unique(self.layout_ids).size != len(PHASES):
             raise ValueError("gripper profile must produce all five phases")
         for c in self.critical_phases:
             if c not in self.targets:
                 raise ValueError(f"critical phase {c} has no latent target")
-
-    def phase_layout(self) -> list[PhaseLabel]:
-        """Per-chunk phase labels of the scripted profile (same for every
-        rollout)."""
-        return [PHASES[k] for k in self.layout_ids]
-
-    @property
-    def num_features(self) -> int:
-        return len(PHASES)
-
-    def phase_index(self, phase: PhaseLabel) -> int:
-        return PHASES.index(phase)
 
 
 def initial_policy(spec: ToyTaskSpec, sigma: float = 0.3,
@@ -120,14 +108,14 @@ def initial_policy(spec: ToyTaskSpec, sigma: float = 0.3,
     phases are pre-fit to the scripted demonstration actions, critical phases
     start offset from their latent targets."""
     ld = spec.chunk_len * spec.action_dim
-    weights = np.zeros((spec.num_features, ld))
+    weights = np.zeros((len(PHASES), ld))
     for phase in PHASES:
         if phase in spec.critical_phases:
             direction = np.ones(spec.action_dim) / np.sqrt(spec.action_dim)
             mean = spec.targets[phase] + critical_offset * direction
         else:
             mean = spec.base_actions.get(phase, np.zeros(spec.action_dim))
-        weights[spec.phase_index(phase)] = np.tile(mean, spec.chunk_len)
+        weights[PHASES.index(phase)] = np.tile(mean, spec.chunk_len)
     return GaussianChunkPolicy(weights=weights, sigma=sigma,
                                chunk_len=spec.chunk_len,
                                action_dim=spec.action_dim)
@@ -163,7 +151,7 @@ def generate_batch(spec: ToyTaskSpec, policy: GaussianChunkPolicy, num: int,
     mean by an ulp, enough to flip a reward lying at the tolerance and with
     it every random stream downstream.
     """
-    n, f = spec.chunks_per_traj, spec.num_features
+    n, f = spec.chunks_per_traj, len(PHASES)
     l, d = spec.chunk_len, spec.action_dim
 
     obs = rng.standard_normal((num, n, f))
@@ -180,7 +168,7 @@ def generate_batch(spec: ToyTaskSpec, policy: GaussianChunkPolicy, num: int,
     rewards = np.ones(num)
     distances = {}
     for phase in spec.critical_phases:
-        idx = np.flatnonzero(spec.layout_ids == spec.phase_index(phase))
+        idx = np.flatnonzero(spec.layout_ids == PHASES.index(phase))
         realized = phase_mean_action(actions, idx)  # (num, D)
         jitter = spec.target_jitter * rng.standard_normal((num, d))
         dist = np.linalg.norm(realized - spec.targets[phase][None] - jitter, axis=1)
@@ -190,7 +178,7 @@ def generate_batch(spec: ToyTaskSpec, policy: GaussianChunkPolicy, num: int,
 
 
 def generate_group(spec: ToyTaskSpec, policy: GaussianChunkPolicy,
-                   group_size: int, rng, epsilon: float = 1e-6) -> RolloutGroup:
+                   group_size: int, rng) -> RolloutGroup:
     """A rollout group for one task prompt."""
     rng = np.random.default_rng(rng)  # a Generator passes through unchanged
     obs, actions, rewards, _ = generate_batch(spec, policy, group_size, rng)
@@ -199,8 +187,7 @@ def generate_group(spec: ToyTaskSpec, policy: GaussianChunkPolicy,
         observations=obs, actions=actions,
         phase_ids=np.broadcast_to(spec.layout_ids, (group_size, n)),
         valid=np.ones((group_size, n, l), dtype=bool), rewards=rewards,
-        gripper=np.broadcast_to(spec.gripper_profile[:, None], (group_size, n, l)),
-        epsilon=epsilon)
+        gripper=np.broadcast_to(spec.gripper_profile[:, None], (group_size, n, l)))
 
 
 def ground_truth_variance(spec: ToyTaskSpec, policy: GaussianChunkPolicy,

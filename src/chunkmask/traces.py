@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grpo import ChunkedTrajectory, RolloutGroup
-from .phases import LabelingConfig, PhaseLabel, gripper_close_fraction, label_phases
+from .phases import PHASES, PhaseLabel, gripper_close_fraction, label_phases, phase_ids
 
 
 class TraceFormatError(ValueError):
@@ -24,8 +24,9 @@ class TraceFormatError(ValueError):
 
 
 class GroupShapeError(ValueError):
-    """The trajectories of one task group differ in observation width, chunk
-    length or action dimension, so they cannot be stacked into a group."""
+    """The records of one task group cannot be stacked into a group: there
+    are fewer than 2, or they differ in observation width, chunk length or
+    action dimension."""
 
 
 def _reject_constant(name: str):
@@ -53,6 +54,8 @@ class TraceRecord:
             raise TraceFormatError(line_number, "empty gripper trace")
         if self.chunk_len < 1:
             raise TraceFormatError(line_number, "chunk_len must be >= 1")
+        if self.action_dim < 1:
+            raise TraceFormatError(line_number, "action_dim must be >= 1")
         n = -(-t // self.chunk_len)
         if len(self.observations) != n:
             raise TraceFormatError(
@@ -95,8 +98,7 @@ class TraceRecord:
             "actions": list(map(float, self.actions)),
         }
         if self.labels is not None:
-            payload["labels"] = [c.value if isinstance(c, PhaseLabel) else c
-                                 for c in self.labels]
+            payload["labels"] = [PhaseLabel(c).value for c in self.labels]
         return json.dumps(payload)
 
     @classmethod
@@ -122,7 +124,7 @@ class TraceRecord:
         record.validate(line_number)
         return record
 
-    def to_trajectory(self, labeling: LabelingConfig = LabelingConfig()) -> ChunkedTrajectory:
+    def to_trajectory(self) -> ChunkedTrajectory:
         """Chunk the flat arrays; missing labels are recomputed from the
         gripper trace. A trailing partial chunk is zero-padded in the action
         tensor; the gripper trace keeps the real length T, from which
@@ -136,14 +138,14 @@ class TraceRecord:
         padded[:t] = actions
         chunked = padded.reshape(n, self.chunk_len, self.action_dim)
         if self.labels is not None:
-            labels = [PhaseLabel(c) for c in self.labels]
+            ids = phase_ids(self.labels)
         else:
-            labels = label_phases(gripper_close_fraction(gripper, self.chunk_len), labeling)
+            ids = label_phases(gripper_close_fraction(gripper, self.chunk_len))
         return ChunkedTrajectory(
             observations=np.asarray(self.observations, dtype=float),
             actions=chunked,
             gripper=gripper,
-            labels=labels,
+            phase_ids=ids,
             reward=self.reward,
             trajectory_id=self.trajectory_id,
         )
@@ -163,7 +165,7 @@ class TraceRecord:
             gripper=list(traj.gripper),
             observations=[list(o) for o in traj.observations],
             actions=list(flat),
-            labels=list(traj.labels) if include_labels else None,
+            labels=[PHASES[k].value for k in traj.phase_ids] if include_labels else None,
         )
 
 
@@ -200,13 +202,14 @@ def group_records(records) -> dict:
     return groups
 
 
-def records_to_group(records, epsilon: float = 1e-6) -> RolloutGroup:
+def records_to_group(records) -> RolloutGroup:
     """Stack one task's records into a RolloutGroup. Raises GroupShapeError,
-    naming the task, the trajectory and both shapes, when a record's
-    observation width or (chunk length, action dimension) differs from the
-    first record's."""
+    naming the task, when there are fewer than 2 records, or, naming also the
+    trajectory and both shapes, when a record's observation width or (chunk
+    length, action dimension) differs from the first record's."""
     if len(records) < 2:
-        raise ValueError("a rollout group needs at least 2 trajectories")
+        task = records[0].task_id if records else None
+        raise GroupShapeError(f"task {task!r}: group size {len(records)} < 2")
     trajectories = [r.to_trajectory() for r in records]
     shapes = [(t.observations.shape[1], *t.actions.shape[1:]) for t in trajectories]
     for record, shape in zip(records, shapes):
@@ -215,4 +218,4 @@ def records_to_group(records, epsilon: float = 1e-6) -> RolloutGroup:
                 f"task {record.task_id!r}: trajectory {record.trajectory_id} has chunk "
                 f"shape (features, steps, action dims) {shape}, trajectory "
                 f"{records[0].trajectory_id} has {shapes[0]}")
-    return RolloutGroup.from_trajectories(trajectories, epsilon=epsilon)
+    return RolloutGroup.from_trajectories(trajectories)

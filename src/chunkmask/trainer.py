@@ -17,6 +17,7 @@ from .scores import PhaseScoreState, compute_phase_scores
 from .toyworld import ToyTaskSpec, generate_batch, generate_group, initial_policy
 
 MODES = ("pcm", "vanilla", "random_mask", "full_mask")
+EVAL_ROLLOUTS = 50  # greedy rollouts behind each step's success rate
 
 
 @dataclass
@@ -29,8 +30,6 @@ class TrainConfig:
     learning_rate: float = 2e-3
     steps: int = 300
     seed: int = 0
-    eval_rollouts: int = 50
-    policy_sigma: float = 0.3
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -39,6 +38,10 @@ class TrainConfig:
             raise ValueError("budget must be >= 1")
         if self.group_size < 2:
             raise ValueError("group_size must be >= 2")
+        if self.steps < 1:
+            raise ValueError("steps must be >= 1")
+        if not np.isfinite(self.learning_rate):
+            raise ValueError(f"learning_rate must be finite, got {self.learning_rate}")
 
 
 @dataclass
@@ -108,7 +111,7 @@ def train(config: TrainConfig, spec: ToyTaskSpec = None,
     if spec is None:
         spec = ToyTaskSpec()
     if policy is None:
-        policy = initial_policy(spec, sigma=config.policy_sigma)
+        policy = initial_policy(spec)
     policy = policy.copy()
 
     state = PhaseScoreState(refresh_window=config.refresh_window,
@@ -133,7 +136,7 @@ def train(config: TrainConfig, spec: ToyTaskSpec = None,
 
         step_metrics = StepMetrics(
             step=step,
-            success_rate=evaluate(spec, policy, config.eval_rollouts, eval_rng),
+            success_rate=evaluate(spec, policy, EVAL_ROLLOUTS, eval_rng),
             chunks_used=0,
             cumulative_chunks=cumulative,
             keep_probs={} if state.keep_probs is None else phase_dict(state.keep_probs),

@@ -237,7 +237,7 @@ def check_gradient_finite_difference(seed: int = 0, instances: int = 100,
                 observations=rng.normal(size=(n, f)),
                 actions=rng.normal(size=(n, l, d)),
                 gripper=np.zeros(n * l),
-                labels=[PHASES[k % len(PHASES)] for k in range(n)],
+                phase_ids=np.arange(n) % len(PHASES),
                 reward=float(rewards[i]), trajectory_id=i)
             for i in range(g)
         ]

@@ -16,9 +16,11 @@ from chunkmask.grpo import (
     GaussianChunkPolicy,
     RolloutGroup,
     _score_terms,
+    group_advantages,
     phase_gradient_stats,
 )
-from chunkmask.phases import PHASES, LabelingConfig, PhaseLabel, label_phases, phase_dict
+from chunkmask.phases import (PHASES, LabelingConfig, PhaseLabel, label_phases, phase_dict,
+                              phase_ids)
 from chunkmask.sampling import weighted_sample_rows
 from chunkmask.scores import GroupCollapsedError, compute_phase_scores
 from chunkmask.toyworld import (
@@ -154,9 +156,10 @@ def test_criterion_06_signal_and_variance_concentration():
                 action = (d if success else 0.0) + 1e-3 * rng.standard_normal()
                 trajs.append(ChunkedTrajectory(
                     observations=np.ones((1, 1)), actions=np.full((1, 1, 1), action),
-                    gripper=np.zeros(1), labels=[AG], reward=float(success),
-                    trajectory_id=i))
-            group = RolloutGroup.from_trajectories(trajs, epsilon=0.0)
+                    gripper=np.zeros(1), phase_ids=[PHASES.index(AG)],
+                    reward=float(success), trajectory_id=i))
+            group = RolloutGroup.from_trajectories(trajs)
+            group.advantages = group_advantages(group.rewards, epsilon=0.0)
             v_c = phase_gradient_stats(group, policy1).variances[PHASES.index(AG)]
             c_c = compute_phase_scores(group)[PHASES.index(AG)]
             bound_ok &= v_c >= c_c**2 / (4.0 * sigma**2)
@@ -232,7 +235,8 @@ def test_criterion_11_phase_labeling():
         # No grasp anywhere, mid-band values stay approach.
         ([0.05, 0.3, 0.4, 0.2, 0.0], [AP] * 5),
     ]
-    golden_ok = all(label_phases(g, cfg) == expected for g, expected in golden)
+    golden_ok = all(np.array_equal(label_phases(g, cfg), phase_ids(expected))
+                    for g, expected in golden)
 
     # Reward-blindness: label-free trace records of a toy group are labelled
     # from their gripper traces by the reader, before and after each reward
@@ -242,11 +246,11 @@ def test_criterion_11_phase_labeling():
     group = generate_group(spec, policy, 6, 0)
     records = [TraceRecord.from_trajectory(t, "task-0", include_labels=False)
                for t in group.trajectories]
-    labels = [r.to_trajectory().labels for r in records]
+    labels = [r.to_trajectory().phase_ids.tolist() for r in records]
     for r in records:
         r.reward = 1.0 - r.reward
-    blind_ok = labels == [r.to_trajectory().labels for r in records] and all(
-        lab == spec.phase_layout() for lab in labels)
+    blind_ok = labels == [r.to_trajectory().phase_ids.tolist() for r in records] and all(
+        lab == spec.layout_ids.tolist() for lab in labels)
     check(11, "phase-labeling", golden_ok and blind_ok,
           f"golden {golden_ok}, reward-blind {blind_ok}")
 

@@ -1,10 +1,13 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from chunkmask.analysis import analyze, knee_point, sweep_budget
 from chunkmask.phases import PHASES, PhaseLabel
 from chunkmask.toyworld import ToyTaskSpec, generate_group, initial_policy
-from chunkmask.traces import TraceRecord
+from chunkmask.traces import TraceRecord, read_traces
 
 AG = PhaseLabel.ACTIVE_GRIP
 PG = PhaseLabel.PRE_GRASP
@@ -122,3 +125,52 @@ class TestSweepBudget:
         assert not sweep.knee_defined
         assert sweep.knee_fraction == pytest.approx(1.0)
         assert np.allclose(sweep.captured, sweep.fractions)
+
+
+class TestOutputsPinned:
+    # sha256 of the outputs below, recorded before the labeler returned
+    # phase ids; the counterpart of test_random_streams_pinned for analysis.
+    PINNED = "7d01ce50b04022c834a5e726670a21c26ce580fe6bca4d1190bcc6be40e93c90"
+
+    def test_analysis_outputs_pinned(self, tmp_path):
+        """analyze's keep probabilities, phase scores and masks and
+        sweep_budget's curve, bit for bit, on an unlabelled trace file of 4
+        toy groups of 6 in which about half of the trajectories end in a
+        partial trailing chunk."""
+        spec = ToyTaskSpec()
+        policy = initial_policy(spec)
+        rng = np.random.default_rng(20261020)
+        length, dim = spec.chunk_len, spec.action_dim
+        lines = []
+        for t in range(4):
+            for traj in generate_group(spec, policy, 6, rng).trajectories:
+                cut = spec.chunks_per_traj * length
+                if rng.random() < 0.5:
+                    cut -= int(rng.integers(1, length))
+                lines.append(json.dumps({
+                    "trajectory_id": traj.trajectory_id, "task_id": f"task-{t}",
+                    "reward": traj.reward, "chunk_len": length, "action_dim": dim,
+                    "gripper": traj.gripper[:cut].tolist(),
+                    "observations": traj.observations.tolist(),
+                    "actions": traj.actions.reshape(-1, dim)[:cut].reshape(-1).tolist(),
+                }))
+        path = tmp_path / "traces.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        records = read_traces(path)
+        result = analyze(records, budget=5, seed=1)
+        sweep = sweep_budget(records)
+
+        digest = hashlib.sha256()
+        digest.update(np.array([result.keep_probs[c] for c in PHASES]).tobytes())
+        for group in result.groups:
+            digest.update(repr((group.task_id, group.skipped_reason)).encode())
+            if group.report is not None:
+                digest.update(group.report.tobytes())
+                for mask in group.masks:
+                    digest.update(mask.indices.astype(np.int64).tobytes())
+        digest.update(sweep.fractions.tobytes() + sweep.captured.tobytes())
+        digest.update(repr((sweep.knee_index, sweep.knee_defined, sweep.skipped)).encode())
+        assert digest.hexdigest() == self.PINNED, (
+            "analyze or sweep_budget outputs moved from the pinned run: a refactor "
+            "changed the analysis outputs (keep probabilities, phase scores, masks "
+            "or the budget-sweep curve)")

@@ -52,6 +52,20 @@ class TestTrain:
                      "--out", str(tmp_path / "m.csv")])
         assert code == 1
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--seeds", "0", "--seeds must be >= 1"),
+        ("--seeds", "-2", "--seeds must be >= 1"),
+        ("--steps", "0", "steps must be >= 1"),
+        ("--lr", "nan", "learning_rate must be finite"),
+        ("--lr", "inf", "learning_rate must be finite"),
+    ], ids=["seeds-0", "seeds-negative", "steps-0", "lr-nan", "lr-inf"])
+    def test_bad_count_or_rate_exits_1(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "m.csv"
+        assert main(["train", "--steps", "2", flag, value, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert captured.out == "" and not out.exists()
+
 
 class TestAnalyze:
     def test_reports_scores_and_masks(self, trace_file, capsys):
@@ -97,6 +111,32 @@ class TestAnalyze:
             "task 'task-1': trajectory 4 has chunk shape (features, steps, action dims) "
             "(3, 8, 2), trajectory 0 has (5, 8, 2)")
         assert report == reference
+
+    def test_single_record_group_is_skipped(self, trace_file, capsys):
+        # A record with a task id of its own forms a group of one: that group
+        # is skipped with its reason, and the others are analyzed exactly as
+        # in a file without that record.
+        assert main(["analyze", str(trace_file)]) == 0
+        reference = json.loads(capsys.readouterr().out)
+        payload = json.loads(trace_file.read_text().splitlines()[0])
+        with open(trace_file, "a") as fh:
+            fh.write(json.dumps(dict(payload, task_id="lonely")) + "\n")
+        assert main(["analyze", str(trace_file)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["groups"].pop() == {"task_id": "lonely", "trajectories": 1,
+                                          "skipped": "task 'lonely': group size 1 < 2"}
+        assert report == reference
+
+    def test_zero_action_dim_skips_its_line(self, trace_file, capsys):
+        lines = trace_file.read_text().splitlines()
+        payload = json.loads(lines[0])
+        lines[0] = json.dumps(dict(payload, action_dim=0, actions=[]))
+        trace_file.write_text("\n".join(lines) + "\n")
+        assert main(["analyze", str(trace_file)]) == 0
+        captured = capsys.readouterr()
+        assert "malformed" in captured.err and "line 1: action_dim must be >= 1" in captured.err
+        report = json.loads(captured.out)
+        assert [g["trajectories"] for g in report["groups"]] == [9, 10, 10, 10]
 
     # `value` is JSON text, so that numbers json cannot write (1e999) and
     # malformed shapes reach the reader as they would in a trace file.
@@ -167,6 +207,17 @@ class TestSweepBudget:
         trace_file.write_text("\n".join(lines[:10] + lines[20:]) + "\n")
         assert main(["sweep-budget", str(trace_file)]) == 0
         assert json.loads(captured.out) == json.loads(capsys.readouterr().out)
+
+    def test_single_record_group_is_skipped(self, trace_file, capsys):
+        assert main(["sweep-budget", str(trace_file)]) == 0
+        reference = capsys.readouterr().out
+        payload = json.loads(trace_file.read_text().splitlines()[0])
+        with open(trace_file, "a") as fh:
+            fh.write(json.dumps(dict(payload, task_id="lonely")) + "\n")
+        assert main(["sweep-budget", str(trace_file)]) == 0
+        captured = capsys.readouterr()
+        assert "warning: skipped group (task 'lonely': group size 1 < 2)" in captured.err
+        assert captured.out == reference
 
 
 class TestVerify:

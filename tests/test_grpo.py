@@ -43,7 +43,7 @@ def random_group(rng, g=4, n=5, f=3, l=2, d=2):
             observations=rng.normal(size=(n, f)),
             actions=rng.normal(size=(n, l, d)),
             gripper=np.zeros(n * l),
-            labels=[PHASES[k % len(PHASES)] for k in range(n)],
+            phase_ids=np.arange(n) % len(PHASES),
             reward=rewards[i],
             trajectory_id=i,
         ))
@@ -60,9 +60,9 @@ class TestGroupLayout:
     def test_ragged_trajectories_are_padded_and_masked(self):
         rng = np.random.default_rng(11)
         short = ChunkedTrajectory(rng.normal(size=(2, 3)), rng.normal(size=(2, 2, 2)),
-                                  np.zeros(3), [PHASES[0], PHASES[1]], 1.0, trajectory_id=7)
+                                  np.zeros(3), [0, 1], 1.0, trajectory_id=7)
         long = ChunkedTrajectory(rng.normal(size=(3, 3)), rng.normal(size=(3, 2, 2)),
-                                 np.zeros(6), [PHASES[2]] * 3, 0.0, trajectory_id=8)
+                                 np.zeros(6), [2] * 3, 0.0, trajectory_id=8)
         group = RolloutGroup.from_trajectories([short, long])
         assert group.actions.shape == (2, 3, 2, 2)
         assert group.valid.tolist() == [[[True, True], [True, False], [False, False]],
@@ -72,18 +72,18 @@ class TestGroupLayout:
         back = group.trajectories
         assert [t.num_chunks for t in back] == [2, 3]
         assert [len(t.gripper) for t in back] == [3, 6]
-        assert back[0].labels == short.labels and back[1].trajectory_id == 8
+        assert np.array_equal(back[0].phase_ids, short.phase_ids) and back[1].trajectory_id == 8
         assert np.array_equal(back[0].actions, short.actions)
 
     def test_shrink_rejects_padded_chunks(self):
         rng = np.random.default_rng(12)
         trajs = [ChunkedTrajectory(rng.normal(size=(n, 3)), rng.normal(size=(n, 2, 2)),
-                                   np.zeros(2 * n), [PHASES[0]] * n, float(i), trajectory_id=i)
+                                   np.zeros(2 * n), [0] * n, float(i), trajectory_id=i)
                  for i, n in enumerate((1, 3))]
         group = RolloutGroup.from_trajectories(trajs)
         with pytest.raises(ValueError):
             shrink_batch(group, np.array([[1], [1]]))
-        assert shrink_batch(group, np.array([[0], [2]])).chunk_indices.tolist() == [[0], [2]]
+        assert shrink_batch(group, np.array([[0], [2]])).chunk_mask.all()
 
 
 class TestPolicy:
@@ -96,7 +96,7 @@ class TestPolicy:
         expected = np.sum(
             -0.5 * delta**2 / policy.sigma**2
             - np.log(policy.sigma) - 0.5 * np.log(2 * np.pi))
-        assert np.isclose(policy.log_prob(obs, act), expected)
+        assert np.isclose(policy.logprob_grad(obs, act)[0], expected)
 
     def test_score_is_outer_product(self):
         rng = np.random.default_rng(1)
@@ -106,13 +106,6 @@ class TestPolicy:
         _, grad = policy.logprob_grad(obs, act)
         delta = act.reshape(-1) - obs @ policy.weights
         assert np.allclose(grad, np.outer(obs, delta / policy.sigma**2))
-
-    def test_greedy_sample_is_mean(self):
-        rng = np.random.default_rng(2)
-        policy = random_policy(rng)
-        obs = rng.normal(size=3)
-        assert np.allclose(policy.sample(obs, rng, noise_scale=0.0),
-                           policy.mean(obs))
 
     def test_sigma_validated(self):
         with pytest.raises(ValueError):
@@ -193,7 +186,7 @@ class TestPhaseVariance:
         terms = []
         for traj, a in zip(group.trajectories, group.advantages):
             for k in range(traj.num_chunks):
-                if traj.labels[k] is phase:
+                if traj.phase_ids[k] == PHASES.index(phase):
                     _, g = policy.logprob_grad(traj.observations[k],
                                                traj.actions[k])
                     terms.append(a * g.reshape(-1))
@@ -209,7 +202,7 @@ class TestPhaseVariance:
         trajs = [
             ChunkedTrajectory(rng.normal(size=(1, 3)),
                               rng.normal(size=(1, 2, 2)), np.zeros(2),
-                              [PHASES[i]], float(i), trajectory_id=i)
+                              [i], float(i), trajectory_id=i)
             for i in range(2)
         ]
         stats = phase_gradient_stats(RolloutGroup.from_trajectories(trajs), policy)

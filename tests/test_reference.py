@@ -46,7 +46,7 @@ def ragged_groups(draw):
         trajectories.append(ChunkedTrajectory(
             observations=rng.normal(size=(n, f)), actions=rng.normal(size=(n, l, d)),
             gripper=rng.uniform(size=t),
-            labels=[PHASES[k] for k in rng.integers(0, len(PHASES), size=n)],
+            phase_ids=rng.integers(0, len(PHASES), size=n),
             reward=rewards[i], trajectory_id=i))
     policy = GaussianChunkPolicy(rng.normal(size=(f, l * d)), float(rng.uniform(0.3, 1.5)), l, d)
     return trajectories, policy
@@ -60,7 +60,7 @@ def reference_scores(trajectories) -> dict:
         length, dim = traj.actions.shape[1:]
         real = traj.actions.reshape(-1, dim)[:len(traj.gripper)]
         for j, action in enumerate(real):
-            pool = pools.setdefault(traj.labels[j // length], {True: [], False: []})
+            pool = pools.setdefault(PHASES[traj.phase_ids[j // length]], {True: [], False: []})
             pool[traj.reward == 1.0].append(action)
     return {c: float(np.linalg.norm(np.mean(p[True], axis=0) - np.mean(p[False], axis=0)))
             for c, p in pools.items() if p[True] and p[False]}
@@ -77,7 +77,7 @@ def reference_grad(trajectories, advantages, policy, group_size, chunks=None,
         for k in (range(traj.num_chunks) if chunks is None else chunks[i]):
             _, g = policy.logprob_grad(traj.observations[k], traj.actions[k])
             g[:, max(entries - k * width, 0):] = 0.0
-            grad -= scale(traj.labels[k]) * a * g
+            grad -= scale(PHASES[traj.phase_ids[k]]) * a * g
     return grad.reshape(-1) / group_size
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from chunkmask.grpo import ChunkedTrajectory, RolloutGroup
-from chunkmask.phases import PhaseLabel
+from chunkmask.phases import PHASES, PhaseLabel
 from chunkmask.sampling import (
     SelectionMask,
     inclusion_probabilities,
@@ -11,8 +11,8 @@ from chunkmask.sampling import (
     weighted_sample_without_replacement,
 )
 
-AG = PhaseLabel.ACTIVE_GRIP
-AP = PhaseLabel.APPROACH
+AG = PHASES.index(PhaseLabel.ACTIVE_GRIP)
+AP = PHASES.index(PhaseLabel.APPROACH)
 
 
 class TestSelectionMask:
@@ -92,7 +92,7 @@ def make_group():
             observations=rng.normal(size=(4, 2)),
             actions=rng.normal(size=(4, 3, 1)),
             gripper=np.zeros(12),
-            labels=[AG, AG, AP, AP],
+            phase_ids=[AG, AG, AP, AP],
             reward=float(i % 2),
             trajectory_id=i,
         )
@@ -108,8 +108,7 @@ class TestShrinkBatch:
         for orig, kept in zip(group.trajectories, small.trajectories):
             assert np.array_equal(kept.observations, orig.observations[[0, 2]])
             assert np.array_equal(kept.actions, orig.actions[[0, 2]])
-            assert kept.labels == [orig.labels[0], orig.labels[2]]
-            assert kept.chunk_indices.tolist() == [0, 2]
+            assert kept.phase_ids.tolist() == [orig.phase_ids[0], orig.phase_ids[2]]
             assert kept.reward == orig.reward
 
     def test_advantages_and_group_size_preserved(self):
@@ -130,7 +129,7 @@ class TestShrinkBatch:
         trajectories = [
             ChunkedTrajectory(
                 observations=rng.normal(size=(k, 2)), actions=rng.normal(size=(k, 3, 1)),
-                gripper=np.zeros(t), labels=[AG] * k, reward=float(i), trajectory_id=i)
+                gripper=np.zeros(t), phase_ids=[AG] * k, reward=float(i), trajectory_id=i)
             for i, (k, t) in enumerate([(4, 12), (3, 7)])]
         group = RolloutGroup.from_trajectories(trajectories)
         assert shrink_batch(group, [[3], [2]]).valid[1, 0].tolist() == [True, False, False]

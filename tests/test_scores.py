@@ -20,7 +20,7 @@ def make_traj(actions, phases, reward, tid=0):
         observations=np.zeros((n, 2)),
         actions=actions,
         gripper=np.zeros(n * actions.shape[1]),
-        labels=[PHASES[k] for k in phases],
+        phase_ids=phases,
         reward=reward,
         trajectory_id=tid,
     )

@@ -21,7 +21,7 @@ class TestSpec:
     def test_default_profile_produces_all_phases(self):
         for n in (16, 24, 64):
             spec = ToyTaskSpec(chunks_per_traj=n)
-            assert set(spec.phase_layout()) == set(PHASES)
+            assert set(spec.layout_ids.tolist()) == set(range(len(PHASES)))
 
     def test_64_chunk_phase_counts(self):
         counts = np.bincount(ToyTaskSpec(chunks_per_traj=64).layout_ids)
@@ -50,7 +50,7 @@ class TestRollouts:
         policy = initial_policy(spec)
         rng = np.random.default_rng(0)
         obs, actions, rewards, dists = generate_batch(spec, policy, 64, rng)
-        layout = spec.phase_layout()
+        layout = [PHASES[k] for k in spec.layout_ids]
         replay = np.ones(64, dtype=bool)
         for phase in spec.critical_phases:
             idx = [k for k, c in enumerate(layout) if c is phase]
@@ -74,12 +74,12 @@ class TestRollouts:
         spec = ToyTaskSpec()
         policy = initial_policy(spec, critical_offset=0.11)
         for phase in spec.critical_phases:
-            row = policy.weights[spec.phase_index(phase)].reshape(
+            row = policy.weights[PHASES.index(phase)].reshape(
                 spec.chunk_len, spec.action_dim)[0]
             assert np.isclose(np.linalg.norm(row - spec.targets[phase]), 0.11)
         # Mastered phases sit exactly on the scripted demonstration actions.
         for phase, base in spec.base_actions.items():
-            row = policy.weights[spec.phase_index(phase)].reshape(
+            row = policy.weights[PHASES.index(phase)].reshape(
                 spec.chunk_len, spec.action_dim)[0]
             assert np.allclose(row, base)
 
@@ -98,7 +98,7 @@ class TestRollouts:
         group = generate_group(spec, policy, 10, 3)
         assert len(group.trajectories) == 10
         for traj in group.trajectories:
-            assert traj.labels == spec.phase_layout()
+            assert np.array_equal(traj.phase_ids, spec.layout_ids)
             assert traj.reward in (0.0, 1.0)
         assert group.advantages.shape == (10,)
 

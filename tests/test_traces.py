@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from chunkmask.phases import PhaseLabel
+from chunkmask.grpo import ChunkedTrajectory
+from chunkmask.phases import PHASES, PhaseLabel, phase_ids
 from chunkmask.toyworld import ToyTaskSpec, generate_group, initial_policy
 from chunkmask.traces import (
     TraceFormatError,
@@ -36,7 +37,7 @@ class TestRoundTrip:
         assert parsed.action_dim == record.action_dim
         assert np.allclose(parsed.actions, record.actions)
         assert np.allclose(parsed.gripper, record.gripper)
-        assert parsed.labels == [c.value for c in record.labels]
+        assert parsed.labels == record.labels
 
     def test_trajectory_round_trip(self):
         spec = ToyTaskSpec()
@@ -46,7 +47,7 @@ class TestRoundTrip:
         back = TraceRecord.from_trajectory(original, "t").to_trajectory()
         assert np.allclose(back.observations, original.observations)
         assert np.allclose(back.actions, original.actions)
-        assert back.labels == original.labels
+        assert np.array_equal(back.phase_ids, original.phase_ids)
         assert back.reward == original.reward
 
     def test_file_round_trip(self, tmp_path):
@@ -59,10 +60,36 @@ class TestRoundTrip:
 
     def test_missing_labels_are_recomputed_from_gripper(self):
         record = toy_records()[0]
-        expected = [PhaseLabel(c) for c in record.labels]
+        expected = phase_ids(record.labels)
         record.labels = None
         traj = record.to_trajectory()
-        assert traj.labels == expected
+        assert np.array_equal(traj.phase_ids, expected)
+
+
+class TestWireFormat:
+    # A labelled record as written before the labeler returned phase ids.
+    # Its stored labels are not the ones its gripper trace gives, so reading
+    # them back shows that stored labels win.
+    LINE = ('{"trajectory_id": 42, "task_id": "task-7", "reward": 1.0, "chunk_len": 2, '
+            '"action_dim": 1, "gripper": [0.0, 0.2, 0.9, 1.0, 0.05], "observations": '
+            '[[1.0, 0.1], [0.0, -2.5], [0.3, 1e-07]], "actions": [0.5, -0.25, 0.1, 2.0, '
+            '0.3333333333333333], "labels": ["approach", "active_grip", "tail"]}')
+    IDS = [PHASES.index(PhaseLabel(c)) for c in ("approach", "active_grip", "tail")]
+
+    def test_labelled_line_parses_to_phase_ids(self):
+        record = TraceRecord.from_json(self.LINE)
+        assert record.to_trajectory().phase_ids.tolist() == self.IDS
+        record.labels = None
+        assert record.to_trajectory().phase_ids.tolist() != self.IDS
+
+    def test_from_trajectory_writes_the_line_byte_for_byte(self):
+        traj = ChunkedTrajectory(
+            observations=[[1.0, 0.1], [0.0, -2.5], [0.3, 1e-7]],
+            actions=np.array([0.5, -0.25, 0.1, 2.0, 1.0 / 3.0, 0.0]).reshape(3, 2, 1),
+            gripper=np.array([0.0, 0.2, 0.9, 1.0, 0.05]),
+            phase_ids=self.IDS, reward=1.0, trajectory_id=42)
+        assert TraceRecord.from_trajectory(traj, "task-7").to_json() == self.LINE
+        assert TraceRecord.from_json(self.LINE).to_json() == self.LINE
 
 
 class TestValidation:

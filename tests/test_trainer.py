@@ -30,6 +30,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             TrainConfig(group_size=1)
 
+    @pytest.mark.parametrize("field, value", [
+        ("steps", 0), ("steps", -3), ("learning_rate", float("nan")),
+        ("learning_rate", float("inf")), ("learning_rate", float("-inf"))],
+        ids=["steps-0", "steps-negative", "lr-nan", "lr-inf", "lr-minus-inf"])
+    def test_steps_and_learning_rate_validated(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
 
 class TestDeterminism:
     def test_bitwise_reproducible(self):
