@@ -14,8 +14,8 @@ class PhaseStats:
     """Expected chunk counts and per-chunk gradient variances per phase, plus
     the total chunk budget."""
 
-    counts: np.ndarray     # N_c >= 0
-    variances: np.ndarray  # V_c >= 0
+    counts: np.ndarray     # finite N_c >= 0
+    variances: np.ndarray  # finite V_c >= 0
     budget: int
 
     def __post_init__(self):
@@ -23,8 +23,9 @@ class PhaseStats:
         object.__setattr__(self, "variances", np.asarray(self.variances, dtype=float))
         if self.counts.shape != self.variances.shape:
             raise ValueError("counts and variances must have the same length")
-        if np.any(self.counts < 0) or np.any(self.variances < 0):
-            raise ValueError("counts and variances must be nonnegative")
+        for name, values in (("counts", self.counts), ("variances", self.variances)):
+            if not (np.isfinite(values) & (values >= 0)).all():
+                raise ValueError(f"{name} must be finite and nonnegative")
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
 

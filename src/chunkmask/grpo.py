@@ -137,7 +137,7 @@ class RolloutGroup:
     @property
     def reward_variance(self) -> float:
         r = self.rewards
-        return float(np.mean((r - r.mean()) ** 2))
+        return float(((r - r.sum() / r.size) ** 2).sum() / r.size)
 
 
 def group_advantages(rewards, epsilon: float = 1e-6) -> np.ndarray:
@@ -146,8 +146,8 @@ def group_advantages(rewards, epsilon: float = 1e-6) -> np.ndarray:
     rewards = np.asarray(rewards, dtype=float)
     if rewards.size < 2:
         raise ValueError("need at least 2 rollouts to form group-relative advantages")
-    mu = rewards.mean()
-    sigma = np.sqrt(np.mean((rewards - mu) ** 2))
+    mu = rewards.sum() / rewards.size
+    sigma = np.sqrt(((rewards - mu) ** 2).sum() / rewards.size)
     return (rewards - mu) / (sigma + epsilon)
 
 
@@ -199,7 +199,9 @@ def _deltas(group: RolloutGroup, policy: GaussianChunkPolicy) -> np.ndarray:
     """(G, N, L*D) action residuals a - mu, zero at padded timesteps."""
     g, n, l, d = group.actions.shape
     mean = (group.observations.reshape(g * n, -1) @ policy.weights).reshape(g, n, l, d)
-    return ((group.actions - mean) * group.valid[..., None]).reshape(g, n, l * d)
+    delta = group.actions - mean
+    delta[~group.valid] = 0.0
+    return delta.reshape(g, n, l * d)
 
 
 def _loss_grad(group: RolloutGroup, policy: GaussianChunkPolicy,

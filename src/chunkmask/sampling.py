@@ -53,7 +53,9 @@ def weighted_sample_rows(weights, m: int, rng) -> np.ndarray:
     else:
         if len(rng) != r:
             raise ValueError("need exactly one generator per row")
-        keys = np.stack([g.exponential(size=n) for g in rng])
+        keys = np.empty((r, n))
+        for g, row in zip(rng, keys):
+            g.standard_exponential(out=row)  # exponential(size=n), in place
     keys /= weights
     return np.sort(np.argpartition(keys, m - 1, axis=1)[:, :m], axis=1)
 

@@ -33,11 +33,12 @@ def compute_phase_scores(group: RolloutGroup) -> np.ndarray:
     # One bin per (outcome, phase) pair: failures 0..P-1, successes P..2P-1.
     bins = (group.phase_ids + p * (group.rewards == 1.0)[:, None]).reshape(-1)
     onehot_t = (np.arange(2 * p)[:, None] == bins).astype(float)  # (2P, G*N)
-    valid = group.valid.reshape(g * n, l)
-    real = (group.actions * group.valid[..., None]).reshape(g * n, l * d)
-    sums = (onehot_t @ real).reshape(2 * p, l, d).sum(axis=1)  # (2P, D)
-    steps = (onehot_t @ valid).sum(axis=1)                    # (2P,)
-    chunks = onehot_t @ valid.any(axis=1)                      # (2P,)
+    real = group.actions.copy()
+    real[~group.valid] = 0.0
+    sums = (onehot_t @ real.reshape(g * n, l * d)).reshape(2 * p, l, d).sum(axis=1)
+    per_chunk = group.valid.reshape(g * n, l) @ np.ones(l)  # real steps, exact
+    steps = np.bincount(bins, weights=per_chunk, minlength=2 * p)       # (2P,)
+    chunks = np.bincount(bins, weights=per_chunk > 0, minlength=2 * p)  # (2P,)
     means = sums / np.maximum(steps, 1.0)[:, None]
     gap = means[p:] - means[:p]
     # Row-wise dot products: the same BLAS arithmetic as the norm of one row.

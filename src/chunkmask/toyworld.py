@@ -171,7 +171,8 @@ def generate_batch(spec: ToyTaskSpec, policy: GaussianChunkPolicy, num: int,
         idx = np.flatnonzero(spec.layout_ids == PHASES.index(phase))
         realized = phase_mean_action(actions, idx)  # (num, D)
         jitter = spec.target_jitter * rng.standard_normal((num, d))
-        dist = np.linalg.norm(realized - spec.targets[phase][None] - jitter, axis=1)
+        gap = realized - spec.targets[phase][None] - jitter
+        dist = np.sqrt(np.add.reduce(gap * gap, axis=1))
         distances[phase] = dist
         rewards *= dist <= spec.tolerance
     return obs, actions, rewards, distances

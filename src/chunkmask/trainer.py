@@ -40,6 +40,8 @@ class TrainConfig:
             raise ValueError("group_size must be >= 2")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not np.isfinite(self.learning_rate):
             raise ValueError(f"learning_rate must be finite, got {self.learning_rate}")
 
@@ -56,18 +58,22 @@ class StepMetrics:
     skipped: bool = False
 
 
-def _traj_rng(master_seed: int, step: int, traj: int) -> np.random.Generator:
-    # Independent deterministic stream per (step, trajectory).
-    return np.random.default_rng(np.random.SeedSequence((master_seed, step, traj)))
-
-
 def _select_masks(mode, group, state: PhaseScoreState, budget, seed, step):
-    """(G, m) sorted chunk indices per trajectory. Every trajectory draws from
-    its own (seed, step, trajectory) stream; the rows of a toyworld group
-    share one phase layout, so every row keeps the same number of chunks."""
+    """(G, m) sorted chunk indices per trajectory; the rows of a toyworld
+    group share one phase layout, so every row keeps as many chunks.
+
+    Stream contract: row i draws from its own generator, seeded with the
+    uint32 words of seed (little-endian, [0] for 0), step and i. numpy
+    coerces the tuple (seed, step, i) to these same words, so this is
+    SeedSequence((seed, step, i)) for every seed >= 0; any other derivation
+    moves every pcm, random_mask and full_mask run."""
     g, n = group.phase_ids.shape
     m = min(budget, n)
-    rngs = [_traj_rng(seed, step, i) for i in range(g)]
+    width = max(1, (int(seed).bit_length() + 31) // 32)
+    words = np.empty((g, width + 2), dtype=np.uint32)
+    words[:, :width] = np.frombuffer(int(seed).to_bytes(4 * width, "little"), "<u4")
+    words[:, width], words[:, width + 1] = step, np.arange(g)
+    rngs = [np.random.Generator(np.random.PCG64(np.random.SeedSequence(w))) for w in words]
     if mode == "pcm":
         return weighted_sample_rows(state.chunk_weights(group.phase_ids), m, rngs)
     if mode == "random_mask":

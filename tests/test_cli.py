@@ -58,7 +58,8 @@ class TestTrain:
         ("--steps", "0", "steps must be >= 1"),
         ("--lr", "nan", "learning_rate must be finite"),
         ("--lr", "inf", "learning_rate must be finite"),
-    ], ids=["seeds-0", "seeds-negative", "steps-0", "lr-nan", "lr-inf"])
+        ("--seed", "-1", "seed must be >= 0"),
+    ], ids=["seeds-0", "seeds-negative", "steps-0", "lr-nan", "lr-inf", "seed-negative"])
     def test_bad_count_or_rate_exits_1(self, tmp_path, capsys, flag, value, message):
         out = tmp_path / "m.csv"
         assert main(["train", "--steps", "2", flag, value, "--out", str(out)]) == 1
@@ -186,6 +187,15 @@ class TestAllocate:
     def test_mismatched_lengths_exit_1(self, capsys):
         assert main(["allocate", "--counts", "1,2", "--variances", "4",
                      "--budget", "3"]) == 1
+
+    @pytest.mark.parametrize("counts, variances, field", [
+        ("1,2", "1,nan", "variances"), ("1,inf", "1,1", "counts")],
+        ids=["variance-nan", "count-inf"])
+    def test_non_finite_stats_exit_1(self, capsys, counts, variances, field):
+        assert main(["allocate", "--counts", counts, "--variances", variances,
+                     "--budget", "3", "--integer"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"error: {field} must be finite" in captured.err
 
 
 class TestSweepBudget:

@@ -1,10 +1,14 @@
+import copy
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from chunkmask import trainer
 from chunkmask.phases import PHASES, PhaseLabel
-from chunkmask.toyworld import ToyTaskSpec, ground_truth_variance, initial_policy
+from chunkmask.sampling import weighted_sample_rows
+from chunkmask.scores import PhaseScoreState
+from chunkmask.toyworld import ToyTaskSpec, generate_group, ground_truth_variance, initial_policy
 from chunkmask.trainer import (
     TrainConfig,
     final_success,
@@ -92,6 +96,32 @@ class TestDeterminism:
             "run, so a random stream or the rounding of a reward changed; the benchmark "
             "compares its exact counters (steps_to_target, final_success, "
             "chunks_per_update) between two commits and will reject this change")
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3])
+    def test_selection_keys_match_tuple_seeded_streams(self, monkeypatch, seed):
+        # _select_masks seeds trajectory i of step t from a uint32 word
+        # block; its keys must be those of SeedSequence((seed, t, i)).
+        spec = ToyTaskSpec()
+        group = generate_group(spec, initial_policy(spec), 10, np.random.default_rng(0))
+        state = PhaseScoreState()
+        state.keep_probs = np.array([1.0, 0.55, 0.3, 0.2, 0.1])
+        weights = state.chunk_weights(group.phase_ids)
+        g, n = weights.shape
+        drawn = []
+
+        def spy(w, m, rngs):
+            drawn.append([copy.deepcopy(r).exponential(size=n) for r in rngs])
+            return weighted_sample_rows(w, m, rngs)
+
+        monkeypatch.setattr(trainer, "weighted_sample_rows", spy)
+        for step in (0, 1, 299):
+            masks = trainer._select_masks("pcm", group, state, 4, seed, step)
+            keys = np.stack([
+                np.random.default_rng(np.random.SeedSequence((seed, step, i))).exponential(size=n)
+                for i in range(g)])
+            assert np.array_equal(np.stack(drawn[-1]), keys), (seed, step)
+            expected = np.sort(np.argpartition(keys / weights, 3, axis=1)[:, :4], axis=1)
+            assert np.array_equal(masks, expected), (seed, step)
 
 
 class TestBudgetAccounting:
