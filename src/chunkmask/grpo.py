@@ -190,10 +190,6 @@ class GaussianChunkPolicy:
                 - delta.size * (np.log(self.sigma) + 0.5 * np.log(2.0 * np.pi)))
         return float(logp), grad
 
-    def copy(self) -> "GaussianChunkPolicy":
-        return GaussianChunkPolicy(self.weights.copy(), self.sigma,
-                                   self.chunk_len, self.action_dim)
-
 
 def _deltas(group: RolloutGroup, policy: GaussianChunkPolicy) -> np.ndarray:
     """(G, N, L*D) action residuals a - mu, zero at padded timesteps."""

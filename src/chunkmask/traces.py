@@ -33,6 +33,13 @@ def _reject_constant(name: str):
     raise ValueError(f"non-finite number {name}")
 
 
+# The JSON type of each scalar field. A bool is no number here (json reads
+# true as True, an int), and neither a float nor a string is an integer.
+_SCALAR_TYPES = {"trajectory_id": (int, "an integer"), "task_id": (str, "a string"),
+                 "reward": ((int, float), "a number"), "chunk_len": (int, "an integer"),
+                 "action_dim": (int, "an integer")}
+
+
 @dataclass
 class TraceRecord:
     trajectory_id: int
@@ -108,12 +115,16 @@ class TraceRecord:
         except ValueError as exc:
             raise TraceFormatError(line_number, f"invalid JSON: {exc}") from exc
         try:
+            for key, (types, kind) in _SCALAR_TYPES.items():
+                value = payload[key]
+                if isinstance(value, bool) or not isinstance(value, types):
+                    raise TypeError(f"{key} must be {kind}, got {json.dumps(value)}")
             record = cls(
-                trajectory_id=int(payload["trajectory_id"]),
-                task_id=str(payload["task_id"]),
+                trajectory_id=payload["trajectory_id"],
+                task_id=payload["task_id"],
                 reward=float(payload["reward"]),
-                chunk_len=int(payload["chunk_len"]),
-                action_dim=int(payload["action_dim"]),
+                chunk_len=payload["chunk_len"],
+                action_dim=payload["action_dim"],
                 gripper=payload["gripper"],
                 observations=payload["observations"],
                 actions=payload["actions"],

@@ -91,34 +91,30 @@ def _select_masks(mode, group, state: PhaseScoreState, budget, seed, step):
 
 
 def evaluate(spec: ToyTaskSpec, policy: GaussianChunkPolicy, rollouts: int,
-             rng) -> float:
+             rng: np.random.Generator) -> float:
     """Greedy (mean-action) evaluation success rate."""
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
     _, _, rewards, _ = generate_batch(spec, policy, rollouts, rng, greedy=True)
     return float(rewards.mean())
 
 
 def train(config: TrainConfig, spec: ToyTaskSpec = None,
-          policy: GaussianChunkPolicy = None,
           spec_switch: tuple = None) -> list[StepMetrics]:
-    """Run the training loop and return per-step metrics.
+    """Run the training loop from the spec's initial policy and return
+    per-step metrics.
 
-    Per step: sample a rollout group, form advantages, score phases, append
-    the score buffers, refresh keep probabilities on the first scored batch
-    or when the refresh window fills, select chunks per the configured mode,
-    shrink the batch, and apply a gradient-descent update on the masked
-    objective. Vanilla mode updates on all chunks and skips the scoring
-    machinery except for metrics.
+    Per step: sample a rollout group and evaluate the policy; unless the
+    group's rewards collapsed, update the policy. A masking mode first
+    scores the phases, appends the score buffers, refreshes the keep
+    probabilities on the first scored batch or when the refresh window
+    fills, selects chunks per the mode and shrinks the batch; vanilla
+    updates on all chunks and reports no keep probabilities or phase scores.
 
     spec_switch, when given as (step, new_spec), swaps the task spec mid-run
     (used to probe allocation adaptation).
     """
     if spec is None:
         spec = ToyTaskSpec()
-    if policy is None:
-        policy = initial_policy(spec)
-    policy = policy.copy()
+    policy = initial_policy(spec)
 
     state = PhaseScoreState(refresh_window=config.refresh_window,
                             floor=config.p_min)
@@ -131,40 +127,36 @@ def train(config: TrainConfig, spec: ToyTaskSpec = None,
         if spec_switch is not None and step == spec_switch[0]:
             spec = spec_switch[1]
         group = generate_group(spec, policy, config.group_size, rollout_rng)
-
-        scores = None
-        collapsed = group.reward_variance == 0.0
-        if not collapsed:
-            scores = compute_phase_scores(group)
-            state.append_scores(scores)
-            if state.refresh_due:
-                state.refresh()
-
         step_metrics = StepMetrics(
             step=step,
             success_rate=evaluate(spec, policy, EVAL_ROLLOUTS, eval_rng),
             chunks_used=0,
             cumulative_chunks=cumulative,
-            keep_probs={} if state.keep_probs is None else phase_dict(state.keep_probs),
-            phase_scores={} if scores is None else phase_dict(scores),
         )
+        metrics.append(step_metrics)
 
         # A collapsed group has all-zero advantages; the update is skipped
-        # outright and the buffers stay untouched.
-        if collapsed or (config.mode != "vanilla" and state.keep_probs is None):
+        # outright and the score buffers stay untouched.
+        collapsed = group.reward_variance == 0.0
+        update_group = group
+        if config.mode != "vanilla":
+            if not collapsed:
+                scores = compute_phase_scores(group)
+                state.append_scores(scores)
+                if state.refresh_due:
+                    state.refresh()
+                step_metrics.phase_scores = phase_dict(scores)
+                masks = _select_masks(config.mode, group, state, config.budget,
+                                      config.seed, step)
+                update_group = shrink_batch(group, masks)
+                alloc = np.bincount(update_group.phase_ids.reshape(-1),
+                                    minlength=len(PHASES)) / config.group_size
+                step_metrics.allocation = phase_dict(alloc)
+            if state.keep_probs is not None:  # None until the first scored step
+                step_metrics.keep_probs = phase_dict(state.keep_probs)
+        if collapsed:
             step_metrics.skipped = True
-            metrics.append(step_metrics)
             continue
-
-        if config.mode == "vanilla":
-            update_group = group
-        else:
-            masks = _select_masks(config.mode, group, state, config.budget,
-                                  config.seed, step)
-            update_group = shrink_batch(group, masks)
-            alloc = np.bincount(update_group.phase_ids.reshape(-1),
-                                minlength=len(PHASES)) / config.group_size
-            step_metrics.allocation = phase_dict(alloc)
 
         grad = masked_loss_grad(update_group, policy)
         policy.weights -= config.learning_rate * grad.reshape(policy.weights.shape)
@@ -173,18 +165,13 @@ def train(config: TrainConfig, spec: ToyTaskSpec = None,
         cumulative += used
         step_metrics.chunks_used = used
         step_metrics.cumulative_chunks = cumulative
-        metrics.append(step_metrics)
     return metrics
 
 
-def run_seeds(config: TrainConfig, seeds, spec: ToyTaskSpec = None,
-              spec_switch: tuple = None) -> list[list[StepMetrics]]:
+def run_seeds(config: TrainConfig, seeds,
+              spec: ToyTaskSpec = None) -> list[list[StepMetrics]]:
     """Independent training runs, one per seed."""
-    runs = []
-    for seed in seeds:
-        runs.append(train(replace(config, seed=int(seed)), spec,
-                          spec_switch=spec_switch))
-    return runs
+    return [train(replace(config, seed=int(seed)), spec) for seed in seeds]
 
 
 def final_success(run: list[StepMetrics], window: int = 10) -> float:

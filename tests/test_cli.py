@@ -153,13 +153,30 @@ class TestAnalyze:
         ("actions", 0, '"x"'),
         ("actions", 0, "[1, 2]"),
         ("observations", 0, "[0.0, 0.0]"),
+        # Scalar fields (index None). The toy records have chunk_len 8 and
+        # action_dim 2, which int(8.9) and int(2.5) give back, so only a type
+        # check rejects these lines.
+        ("trajectory_id", None, "3.7"),
+        ("trajectory_id", None, '"7"'),
+        ("chunk_len", None, "8.9"),
+        ("action_dim", None, "2.5"),
+        ("task_id", None, "null"),
+        ("task_id", None, "7"),
+        ("reward", None, '"1"'),
+        ("reward", None, "true"),
     ], ids=["gripper-above-1", "gripper-below-0", "gripper-nan", "unknown-label",
             "action-nan", "action-infinity", "action-overflow", "observation-overflow",
-            "action-string", "action-nested", "observation-short-row"])
+            "action-string", "action-nested", "observation-short-row",
+            "trajectory-id-float", "trajectory-id-string", "chunk-len-float",
+            "action-dim-float", "task-id-null", "task-id-number",
+            "reward-string", "reward-bool"])
     def test_invalid_value_skips_its_line(self, trace_file, capsys, field, index, value):
         lines = trace_file.read_text().splitlines()
         payload = json.loads(lines[0])
-        payload[field][index] = "VALUE"
+        if index is None:
+            payload[field] = "VALUE"
+        else:
+            payload[field][index] = "VALUE"
         lines[0] = json.dumps(payload).replace('"VALUE"', value)
         trace_file.write_text("\n".join(lines) + "\n")
         assert main(["analyze", str(trace_file)]) == 0

@@ -1,4 +1,6 @@
 import copy
+import hashlib
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -97,6 +99,22 @@ class TestDeterminism:
             "compares its exact counters (steps_to_target, final_success, "
             "chunks_per_update) between two commits and will reject this change")
 
+    # sha256 of repr(run), so of every StepMetrics field (keep probabilities
+    # on collapsed steps, phase scores and allocation included), of the same
+    # 60-step runs as PINNED, recorded before vanilla stopped scoring phases.
+    PINNED_METRICS = {
+        "pcm": "4419a785359a55be3f304b0ddb142c061c03739408806293421bcc1104346f50",
+        "random_mask": "d0aa80e296c7a5da725e044c87d4a1ccd7c338171452e3effc272bc0e30a29ec",
+        "full_mask": "e8947d128e52f76ea247fd93b2a4679632e309b4d49e434851b72191e9c77c4d",
+    }
+
+    @pytest.mark.parametrize("mode", sorted(PINNED_METRICS))
+    def test_masking_step_metrics_pinned(self, mode):
+        run = train(TrainConfig(mode=mode, seed=11003, steps=60),
+                    ToyTaskSpec(chunks_per_traj=64))
+        assert hashlib.sha256(repr(run).encode()).hexdigest() == self.PINNED_METRICS[mode], (
+            f"{mode}: a StepMetrics field moved from the pinned run")
+
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3])
     def test_selection_keys_match_tuple_seeded_streams(self, monkeypatch, seed):
         # _select_masks seeds trajectory i of step t from a uint32 word
@@ -122,6 +140,24 @@ class TestDeterminism:
             assert np.array_equal(np.stack(drawn[-1]), keys), (seed, step)
             expected = np.sort(np.argpartition(keys / weights, 3, axis=1)[:, :4], axis=1)
             assert np.array_equal(masks, expected), (seed, step)
+
+
+class TestVanilla:
+    def test_vanilla_does_no_phase_scoring(self, monkeypatch, tmp_path):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("vanilla scored phases")
+
+        monkeypatch.setattr(trainer, "compute_phase_scores", forbidden)
+        monkeypatch.setattr(PhaseScoreState, "refresh", forbidden)
+        run = train(TrainConfig(mode="vanilla", steps=20, seed=0))
+        assert len(run) == 20 and any(not m.skipped for m in run)
+        assert all(m.keep_probs == {} and m.phase_scores == {} for m in run)
+        out = tmp_path / "metrics.csv"
+        write_metrics_csv(out, [run])
+        header, *rows = [line.split(",") for line in out.read_text().splitlines()]
+        columns = [j for j, name in enumerate(header) if name.startswith("p_")]
+        assert len(columns) == len(PHASES)
+        assert all(math.isnan(float(row[j])) for row in rows for j in columns)
 
 
 class TestBudgetAccounting:
