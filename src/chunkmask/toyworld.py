@@ -134,12 +134,47 @@ def phase_mean_action(actions: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return np.einsum("nkd->nd", block.reshape(num, -1, d)) / (idx.size * l)
 
 
+def noise_size(spec: ToyTaskSpec, num: int, greedy: bool = False) -> int:
+    """Length of the flat standard-normal block behind generate_batch(spec,
+    policy, num, ..., greedy): observation noise, action noise unless
+    greedy, and one jitter pair per critical phase."""
+    n, f = spec.chunks_per_traj, len(PHASES)
+    actions = 0 if greedy else n * spec.chunk_len * spec.action_dim
+    return num * (n * f + actions + len(spec.critical_phases) * spec.action_dim)
+
+
+def _noise_block(spec: ToyTaskSpec, num: int, rng, greedy: bool) -> np.ndarray:
+    """rng itself when it is a pre-drawn block (any ndarray), checked against
+    noise_size; otherwise one block drawn from np.random.default_rng(rng),
+    which a Generator passes through unchanged."""
+    size = noise_size(spec, num, greedy)
+    if not isinstance(rng, np.ndarray):
+        return np.random.default_rng(rng).standard_normal(size)
+    if rng.shape != (size,) or rng.dtype != np.float64:
+        raise ValueError(f"noise block must be a flat float64 array of length {size}, "
+                         f"got {rng.dtype} of shape {rng.shape}")
+    return rng
+
+
 def generate_batch(spec: ToyTaskSpec, policy: GaussianChunkPolicy, num: int,
-                   rng: np.random.Generator, greedy: bool = False):
+                   rng, greedy: bool = False):
     """Vectorized rollout generation.
+
+    rng is a Generator, a seed, or a pre-drawn noise block: a flat float64
+    array of noise_size(spec, num, greedy) standard normals, which is read
+    and not written.
 
     Returns (observations (num, N, F), actions (num, N, L, D),
     rewards (num,), distances {phase: (num,)}).
+
+    Stream contract: all the randomness of a batch is one flat block of
+    standard normals, taken from a Generator in one standard_normal call,
+    in this order: the observation noise (num, N, F); then, unless greedy,
+    the action noise (num, N, L*D); then one (num, D) jitter pair per
+    critical phase, in spec.critical_phases order. Each part is read in C
+    order. A Generator yields the same numbers in one call as in several,
+    so this is the stream of drawing the parts one after another, and a
+    block drawn ahead from the same Generator gives the same batch.
 
     Summation-order contract: the draws, their order and shapes, and every
     rounding that feeds a reward are fixed, so a seed gives the same
@@ -153,16 +188,17 @@ def generate_batch(spec: ToyTaskSpec, policy: GaussianChunkPolicy, num: int,
     """
     n, f = spec.chunks_per_traj, len(PHASES)
     l, d = spec.chunk_len, spec.action_dim
+    block = _noise_block(spec, num, rng, greedy)
 
-    obs = rng.standard_normal((num, n, f))
-    obs *= spec.obs_noise
+    cut = num * n * f
+    obs = block[:cut].reshape(num, n, f) * spec.obs_noise
     obs += spec.layout_onehot
     actions = obs @ policy.weights  # (num, N, L*D) means, plus noise unless greedy
     if not greedy:
-        noise = rng.standard_normal(actions.shape)
+        noise = block[cut:cut + actions.size].reshape(actions.shape)
+        cut += actions.size
         noise_scale = np.array([spec.exec_noise[c] for c in PHASES])[spec.layout_ids]
-        noise *= policy.sigma * noise_scale[:, None]
-        actions += noise
+        actions += noise * (policy.sigma * noise_scale[:, None])
     actions = actions.reshape(num, n, l, d)
 
     rewards = np.ones(num)
@@ -170,7 +206,8 @@ def generate_batch(spec: ToyTaskSpec, policy: GaussianChunkPolicy, num: int,
     for phase in spec.critical_phases:
         idx = np.flatnonzero(spec.layout_ids == PHASES.index(phase))
         realized = phase_mean_action(actions, idx)  # (num, D)
-        jitter = spec.target_jitter * rng.standard_normal((num, d))
+        jitter = spec.target_jitter * block[cut:cut + num * d].reshape(num, d)
+        cut += num * d
         gap = realized - spec.targets[phase][None] - jitter
         dist = np.sqrt(np.add.reduce(gap * gap, axis=1))
         distances[phase] = dist
@@ -180,8 +217,7 @@ def generate_batch(spec: ToyTaskSpec, policy: GaussianChunkPolicy, num: int,
 
 def generate_group(spec: ToyTaskSpec, policy: GaussianChunkPolicy,
                    group_size: int, rng) -> RolloutGroup:
-    """A rollout group for one task prompt."""
-    rng = np.random.default_rng(rng)  # a Generator passes through unchanged
+    """A rollout group for one task prompt; rng as for generate_batch."""
     obs, actions, rewards, _ = generate_batch(spec, policy, group_size, rng)
     n, l = spec.chunks_per_traj, spec.chunk_len
     return RolloutGroup(

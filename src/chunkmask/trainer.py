@@ -4,6 +4,10 @@ and masked gradient-descent updates, with per-step metrics."""
 from __future__ import annotations
 
 import csv
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -14,10 +18,11 @@ from .sampling import shrink_batch, weighted_sample_rows
 # Imported for perfbench/tracing.py, which wraps it under this module's name.
 from .sampling import weighted_sample_without_replacement  # noqa: F401
 from .scores import PhaseScoreState, compute_phase_scores
-from .toyworld import ToyTaskSpec, generate_batch, generate_group, initial_policy
+from .toyworld import ToyTaskSpec, generate_batch, generate_group, initial_policy, noise_size
 
 MODES = ("pcm", "vanilla", "random_mask", "full_mask")
 EVAL_ROLLOUTS = 50  # greedy rollouts behind each step's success rate
+DRAW_AHEAD = 2  # steps whose noise the draw worker holds ready beyond the current one
 
 
 @dataclass
@@ -91,10 +96,35 @@ def _select_masks(mode, group, state: PhaseScoreState, budget, seed, step):
 
 
 def evaluate(spec: ToyTaskSpec, policy: GaussianChunkPolicy, rollouts: int,
-             rng: np.random.Generator) -> float:
-    """Greedy (mean-action) evaluation success rate."""
+             rng) -> float:
+    """Greedy (mean-action) evaluation success rate; rng as for
+    generate_batch."""
     _, _, rewards, _ = generate_batch(spec, policy, rollouts, rng, greedy=True)
     return float(rewards.mean())
+
+
+def _usable_cores() -> int:
+    return len(os.sched_getaffinity(0))
+
+
+def _drawn_ahead(draw, count: int):
+    """Yield draw(0), ..., draw(count - 1). With two usable cores, one
+    worker thread makes each call DRAW_AHEAD calls before its result is
+    taken, so numpy's fills, which release the GIL, overlap the caller's
+    work; with one core the caller makes each call as it is taken. Close the
+    generator to shut the worker down."""
+    if _usable_cores() < 2:
+        yield from map(draw, range(count))
+        return
+    pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="chunkmask-draw")
+    try:
+        pending = deque(pool.submit(draw, i) for i in range(min(DRAW_AHEAD, count)))
+        for i in range(DRAW_AHEAD, count + DRAW_AHEAD):
+            if i < count:
+                pending.append(pool.submit(draw, i))
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def train(config: TrainConfig, spec: ToyTaskSpec = None,
@@ -109,62 +139,79 @@ def train(config: TrainConfig, spec: ToyTaskSpec = None,
     fills, selects chunks per the mode and shrinks the batch; vanilla
     updates on all chunks and reports no keep probabilities or phase scores.
 
+    The rollout and evaluation noise does not depend on the policy, so each
+    step's two blocks (see generate_batch) are drawn ahead: with two usable
+    cores a worker thread, which alone owns the two generators, draws them
+    in step order DRAW_AHEAD steps ahead of the loop; with one core the
+    loop draws them itself. Both give the same run bit for bit, and no
+    worker thread outlives the call, whether it returns or raises.
+
     spec_switch, when given as (step, new_spec), swaps the task spec mid-run
     (used to probe allocation adaptation).
     """
     if spec is None:
         spec = ToyTaskSpec()
     policy = initial_policy(spec)
+    specs = []  # the task spec of each step
+    for step in range(config.steps):
+        if spec_switch is not None and step == spec_switch[0]:
+            spec = spec_switch[1]
+        specs.append(spec)
 
     state = PhaseScoreState(refresh_window=config.refresh_window,
                             floor=config.p_min)
     rollout_rng = np.random.default_rng(np.random.SeedSequence((config.seed, 1)))
     eval_rng = np.random.default_rng(np.random.SeedSequence((config.seed, 2)))
 
+    def draw(step):
+        step_spec = specs[step]
+        return (rollout_rng.standard_normal(noise_size(step_spec, config.group_size)),
+                eval_rng.standard_normal(noise_size(step_spec, EVAL_ROLLOUTS, greedy=True)))
+
     metrics = []
     cumulative = 0
-    for step in range(config.steps):
-        if spec_switch is not None and step == spec_switch[0]:
-            spec = spec_switch[1]
-        group = generate_group(spec, policy, config.group_size, rollout_rng)
-        step_metrics = StepMetrics(
-            step=step,
-            success_rate=evaluate(spec, policy, EVAL_ROLLOUTS, eval_rng),
-            chunks_used=0,
-            cumulative_chunks=cumulative,
-        )
-        metrics.append(step_metrics)
+    with closing(_drawn_ahead(draw, config.steps)) as noise:
+        for step, (rollout_noise, eval_noise) in enumerate(noise):
+            spec = specs[step]
+            group = generate_group(spec, policy, config.group_size, rollout_noise)
+            step_metrics = StepMetrics(
+                step=step,
+                success_rate=evaluate(spec, policy, EVAL_ROLLOUTS, eval_noise),
+                chunks_used=0,
+                cumulative_chunks=cumulative,
+            )
+            metrics.append(step_metrics)
 
-        # A collapsed group has all-zero advantages; the update is skipped
-        # outright and the score buffers stay untouched.
-        collapsed = group.reward_variance == 0.0
-        update_group = group
-        if config.mode != "vanilla":
-            if not collapsed:
-                scores = compute_phase_scores(group)
-                state.append_scores(scores)
-                if state.refresh_due:
-                    state.refresh()
-                step_metrics.phase_scores = phase_dict(scores)
-                masks = _select_masks(config.mode, group, state, config.budget,
-                                      config.seed, step)
-                update_group = shrink_batch(group, masks)
-                alloc = np.bincount(update_group.phase_ids.reshape(-1),
-                                    minlength=len(PHASES)) / config.group_size
-                step_metrics.allocation = phase_dict(alloc)
-            if state.keep_probs is not None:  # None until the first scored step
-                step_metrics.keep_probs = phase_dict(state.keep_probs)
-        if collapsed:
-            step_metrics.skipped = True
-            continue
+            # A collapsed group has all-zero advantages; the update is skipped
+            # outright and the score buffers stay untouched.
+            collapsed = group.reward_variance == 0.0
+            update_group = group
+            if config.mode != "vanilla":
+                if not collapsed:
+                    scores = compute_phase_scores(group)
+                    state.append_scores(scores)
+                    if state.refresh_due:
+                        state.refresh()
+                    step_metrics.phase_scores = phase_dict(scores)
+                    masks = _select_masks(config.mode, group, state, config.budget,
+                                          config.seed, step)
+                    update_group = shrink_batch(group, masks)
+                    alloc = np.bincount(update_group.phase_ids.reshape(-1),
+                                        minlength=len(PHASES)) / config.group_size
+                    step_metrics.allocation = phase_dict(alloc)
+                if state.keep_probs is not None:  # None until the first scored step
+                    step_metrics.keep_probs = phase_dict(state.keep_probs)
+            if collapsed:
+                step_metrics.skipped = True
+                continue
 
-        grad = masked_loss_grad(update_group, policy)
-        policy.weights -= config.learning_rate * grad.reshape(policy.weights.shape)
+            grad = masked_loss_grad(update_group, policy)
+            policy.weights -= config.learning_rate * grad.reshape(policy.weights.shape)
 
-        used = int(update_group.chunk_mask.sum())
-        cumulative += used
-        step_metrics.chunks_used = used
-        step_metrics.cumulative_chunks = cumulative
+            used = int(update_group.chunk_mask.sum())
+            cumulative += used
+            step_metrics.chunks_used = used
+            step_metrics.cumulative_chunks = cumulative
     return metrics
 
 

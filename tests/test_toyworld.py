@@ -10,8 +10,10 @@ from chunkmask.toyworld import (
     generate_batch,
     generate_group,
     initial_policy,
+    noise_size,
     phase_mean_action,
 )
+from chunkmask.trainer import evaluate
 
 AG = PhaseLabel.ACTIVE_GRIP
 PG = PhaseLabel.PRE_GRASP
@@ -114,6 +116,67 @@ class TestRollouts:
         generate_batch(spec, policy, 4, np.random.default_rng(0), greedy=True)
         assert calls == []
         assert group.phase_ids.tolist() == [spec.layout_ids.tolist()] * 4
+
+
+class TestNoiseBlock:
+    """A pre-drawn noise block stands in for the Generator it came from."""
+
+    SPECS = {
+        "16": lambda: ToyTaskSpec(),
+        "64": lambda: ToyTaskSpec(chunks_per_traj=64),
+        "one-critical": lambda: ToyTaskSpec(critical_phases=(AG,)),
+    }
+
+    @staticmethod
+    def _same(a, b):
+        if isinstance(a, dict):
+            return a.keys() == b.keys() and all(TestNoiseBlock._same(a[k], b[k]) for k in a)
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("greedy", [False, True], ids=["sampled", "greedy"])
+    @pytest.mark.parametrize("which", sorted(SPECS))
+    def test_batch_from_block_matches_generator(self, which, greedy):
+        spec = self.SPECS[which]()
+        policy = initial_policy(spec)
+        expected = generate_batch(spec, policy, 7, np.random.default_rng(5), greedy=greedy)
+        block = np.random.default_rng(5).standard_normal(noise_size(spec, 7, greedy))
+        kept = block.copy()
+        got = generate_batch(spec, policy, 7, block, greedy=greedy)
+        assert all(self._same(a, b) for a, b in zip(got, expected))
+        assert self._same(block, kept), "the block was written"
+        from_seed = generate_batch(spec, policy, 7, 5, greedy=greedy)
+        assert all(self._same(a, b) for a, b in zip(from_seed, expected))
+
+    @pytest.mark.parametrize("which", sorted(SPECS))
+    def test_group_and_evaluate_from_block(self, which):
+        spec = self.SPECS[which]()
+        policy = initial_policy(spec)
+        group = generate_group(spec, policy, 10, np.random.default_rng(9))
+        block = np.random.default_rng(9).standard_normal(noise_size(spec, 10))
+        from_block = generate_group(spec, policy, 10, block)
+        for field in ("observations", "actions", "rewards"):
+            assert self._same(getattr(from_block, field), getattr(group, field)), field
+        success = evaluate(spec, policy, 50, np.random.default_rng(4))
+        block = np.random.default_rng(4).standard_normal(noise_size(spec, 50, greedy=True))
+        assert evaluate(spec, policy, 50, block) == success
+        assert evaluate(spec, policy, 50, 4) == success
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_wrong_length_names_expected(self, delta):
+        spec = ToyTaskSpec(chunks_per_traj=64)
+        policy = initial_policy(spec)
+        size = noise_size(spec, 10)
+        assert size == 10 * (64 * len(PHASES) + 64 * 8 * 2 + 2 * 2)
+        with pytest.raises(ValueError, match=f"length {size}"):
+            generate_batch(spec, policy, 10, np.zeros(size + delta))
+        with pytest.raises(ValueError, match=f"length {size}"):
+            generate_group(spec, policy, 10, np.zeros(size + delta))
+
+    def test_integer_array_is_a_block_not_a_seed(self):
+        spec = ToyTaskSpec()
+        size = noise_size(spec, 3, greedy=True)
+        with pytest.raises(ValueError, match=f"length {size}"):
+            generate_batch(spec, initial_policy(spec), 3, np.arange(size), greedy=True)
 
 
 class TestPhaseMeanAction:

@@ -1,7 +1,8 @@
 import copy
 import hashlib
 import math
-from dataclasses import replace
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -142,6 +143,127 @@ class TestDeterminism:
             assert np.array_equal(masks, expected), (seed, step)
 
 
+def _switch_specs():
+    """TestAdaptation's spec switch: from step 15 only the active grip is
+    critical, so a batch draws one jitter pair fewer per rollout."""
+    switched = ToyTaskSpec(critical_phases=(AG,))
+    switched.exec_noise[PG] = 0.06
+    return ToyTaskSpec(), (15, switched)
+
+
+def _draw_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("chunkmask-draw")]
+
+
+class TestDrawAhead:
+    """train() draws each step's rollout and evaluation noise on a worker
+    thread when two cores are usable, and in the calling thread otherwise."""
+
+    # sha256 of repr(run) of each run below, recorded before the noise was
+    # drawn ahead of the loop.
+    PINNED = {
+        **TestDeterminism.PINNED_METRICS,
+        "vanilla": "95d055eefd1144e77801987ab51e233bf2ca79f41600d15bde9d7c892a0c25e8",
+        "spec_switch": "14210dd382cced0b00e3fe33b2f392647d1486cedfbf7c04454c56a4c06d3079",
+    }
+
+    @staticmethod
+    def _run(name):
+        if name == "spec_switch":
+            base, switch = _switch_specs()
+            cfg = TrainConfig(mode="pcm", refresh_window=5, steps=30, seed=0)
+            return train(cfg, base, spec_switch=switch)
+        return train(TrainConfig(mode=name, seed=11003, steps=60),
+                     ToyTaskSpec(chunks_per_traj=64))
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_draw_placement_is_bit_identical(self, monkeypatch, name):
+        sizes = trainer.noise_size
+        drawn_in = []
+
+        def spy(*args, **kwargs):
+            drawn_in.append(threading.current_thread().name)
+            return sizes(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "noise_size", spy)
+        runs = {}
+        for cores in (2, 1):
+            monkeypatch.setattr(trainer, "_usable_cores", lambda cores=cores: cores)
+            drawn_in.clear()
+            runs[cores] = repr(self._run(name))
+            steps = 30 if name == "spec_switch" else 60
+            assert len(drawn_in) == 2 * steps
+            on_worker = {n.startswith("chunkmask-draw") for n in drawn_in}
+            assert on_worker == {cores == 2}, cores
+            assert _draw_threads() == [], "a draw worker outlived train()"
+        assert runs[2] == runs[1]
+        assert hashlib.sha256(runs[2].encode()).hexdigest() == self.PINNED[name]
+
+    def test_worker_stays_within_depth_under_fast_switching(self, monkeypatch):
+        # When step t's group is generated, steps t .. t + DRAW_AHEAD at most
+        # have been drawn (two noise_size calls each), and the run matches
+        # the in-thread one, also when the interpreter switches threads
+        # every few microseconds.
+        sizes, group = trainer.noise_size, trainer.generate_group
+        lock, calls, seen = threading.Lock(), [0], []
+
+        def counting(*args, **kwargs):
+            with lock:
+                calls[0] += 1
+            return sizes(*args, **kwargs)
+
+        def stamped(*args, **kwargs):
+            with lock:
+                seen.append(calls[0])
+            return group(*args, **kwargs)
+
+        cfg = TrainConfig(mode="vanilla", steps=40, seed=3)
+        monkeypatch.setattr(trainer, "_usable_cores", lambda: 1)
+        expected = repr(train(cfg))
+        monkeypatch.setattr(trainer, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(trainer, "noise_size", counting)
+        monkeypatch.setattr(trainer, "generate_group", stamped)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            run = repr(train(cfg))
+        finally:
+            sys.setswitchinterval(interval)
+        assert run == expected
+        assert len(seen) == cfg.steps
+        for step, count in enumerate(seen):
+            assert 2 * (step + 1) <= count <= 2 * (step + 1 + trainer.DRAW_AHEAD), step
+
+    def test_exception_reaches_caller_and_stops_worker(self, monkeypatch):
+        error = RuntimeError("gradient failed")
+        grad = trainer.masked_loss_grad
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:
+                raise error
+            return grad(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(trainer, "masked_loss_grad", failing)
+        raised = []
+
+        def call():
+            try:
+                train(TrainConfig(mode="vanilla", steps=50, seed=0))
+            except Exception as exc:  # noqa: BLE001 - handed to the test
+                raised.append(exc)
+
+        caller = threading.Thread(target=call, daemon=True)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive(), "train() hung after the exception"
+        assert len(calls) == 3
+        assert len(raised) == 1 and raised[0] is error
+        assert _draw_threads() == []
+
+
 class TestVanilla:
     def test_vanilla_does_no_phase_scoring(self, monkeypatch, tmp_path):
         def forbidden(*args, **kwargs):
@@ -220,10 +342,8 @@ class TestAdaptation:
         # Mid-run the pre-grasp phase stops mattering for the outcome and its
         # execution noise collapses; its keep probability must fall within
         # two refresh windows.
-        switch_step, t_rc = 15, 5
-        base = ToyTaskSpec()
-        switched = ToyTaskSpec(critical_phases=(AG,))
-        switched.exec_noise[PG] = 0.06
+        base, (switch_step, switched) = _switch_specs()
+        t_rc = 5
         cfg = TrainConfig(mode="pcm", refresh_window=t_rc, steps=30, seed=0)
         run = train(cfg, base, spec_switch=(switch_step, switched))
         before = run[switch_step - 1].keep_probs[PG]
