@@ -145,11 +145,10 @@ def noise_size(spec: ToyTaskSpec, num: int, greedy: bool = False) -> int:
 
 def _noise_block(spec: ToyTaskSpec, num: int, rng, greedy: bool) -> np.ndarray:
     """rng itself when it is a pre-drawn block (any ndarray), checked against
-    noise_size; otherwise one block drawn from np.random.default_rng(rng),
-    which a Generator passes through unchanged."""
+    noise_size; otherwise one block drawn from the Generator rng."""
     size = noise_size(spec, num, greedy)
     if not isinstance(rng, np.ndarray):
-        return np.random.default_rng(rng).standard_normal(size)
+        return rng.standard_normal(size)
     if rng.shape != (size,) or rng.dtype != np.float64:
         raise ValueError(f"noise block must be a flat float64 array of length {size}, "
                          f"got {rng.dtype} of shape {rng.shape}")
@@ -160,9 +159,9 @@ def generate_batch(spec: ToyTaskSpec, policy: GaussianChunkPolicy, num: int,
                    rng, greedy: bool = False):
     """Vectorized rollout generation.
 
-    rng is a Generator, a seed, or a pre-drawn noise block: a flat float64
-    array of noise_size(spec, num, greedy) standard normals, which is read
-    and not written.
+    rng is a Generator or a pre-drawn noise block: a flat float64 array of
+    noise_size(spec, num, greedy) standard normals. The block is scaled in
+    place, and the returned observations are a view of it.
 
     Returns (observations (num, N, F), actions (num, N, L, D),
     rewards (num,), distances {phase: (num,)}).
@@ -191,14 +190,16 @@ def generate_batch(spec: ToyTaskSpec, policy: GaussianChunkPolicy, num: int,
     block = _noise_block(spec, num, rng, greedy)
 
     cut = num * n * f
-    obs = block[:cut].reshape(num, n, f) * spec.obs_noise
+    obs = block[:cut].reshape(num, n, f)
+    obs *= spec.obs_noise
     obs += spec.layout_onehot
     actions = obs @ policy.weights  # (num, N, L*D) means, plus noise unless greedy
     if not greedy:
         noise = block[cut:cut + actions.size].reshape(actions.shape)
         cut += actions.size
         noise_scale = np.array([spec.exec_noise[c] for c in PHASES])[spec.layout_ids]
-        actions += noise * (policy.sigma * noise_scale[:, None])
+        noise *= policy.sigma * noise_scale[:, None]
+        actions += noise
     actions = actions.reshape(num, n, l, d)
 
     rewards = np.ones(num)
@@ -217,7 +218,10 @@ def generate_batch(spec: ToyTaskSpec, policy: GaussianChunkPolicy, num: int,
 
 def generate_group(spec: ToyTaskSpec, policy: GaussianChunkPolicy,
                    group_size: int, rng) -> RolloutGroup:
-    """A rollout group for one task prompt; rng as for generate_batch."""
+    """A rollout group for one task prompt. rng is a Generator, a seed or a
+    pre-drawn noise block, as for generate_batch."""
+    if not isinstance(rng, np.ndarray):
+        rng = np.random.default_rng(rng)  # a Generator passes through unchanged
     obs, actions, rewards, _ = generate_batch(spec, policy, group_size, rng)
     n, l = spec.chunks_per_traj, spec.chunk_len
     return RolloutGroup(

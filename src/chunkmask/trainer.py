@@ -4,7 +4,6 @@ and masked gradient-descent updates, with per-step metrics."""
 from __future__ import annotations
 
 import csv
-import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
@@ -103,19 +102,11 @@ def evaluate(spec: ToyTaskSpec, policy: GaussianChunkPolicy, rollouts: int,
     return float(rewards.mean())
 
 
-def _usable_cores() -> int:
-    return len(os.sched_getaffinity(0))
-
-
 def _drawn_ahead(draw, count: int):
-    """Yield draw(0), ..., draw(count - 1). With two usable cores, one
-    worker thread makes each call DRAW_AHEAD calls before its result is
-    taken, so numpy's fills, which release the GIL, overlap the caller's
-    work; with one core the caller makes each call as it is taken. Close the
-    generator to shut the worker down."""
-    if _usable_cores() < 2:
-        yield from map(draw, range(count))
-        return
+    """Yield draw(0), ..., draw(count - 1). One worker thread makes each
+    call DRAW_AHEAD calls before its result is taken, so numpy's fills,
+    which release the GIL, overlap the caller's work. Close the generator
+    to shut the worker down."""
     pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="chunkmask-draw")
     try:
         pending = deque(pool.submit(draw, i) for i in range(min(DRAW_AHEAD, count)))
@@ -139,12 +130,12 @@ def train(config: TrainConfig, spec: ToyTaskSpec = None,
     fills, selects chunks per the mode and shrinks the batch; vanilla
     updates on all chunks and reports no keep probabilities or phase scores.
 
-    The rollout and evaluation noise does not depend on the policy, so each
-    step's two blocks (see generate_batch) are drawn ahead: with two usable
-    cores a worker thread, which alone owns the two generators, draws them
-    in step order DRAW_AHEAD steps ahead of the loop; with one core the
-    loop draws them itself. Both give the same run bit for bit, and no
-    worker thread outlives the call, whether it returns or raises.
+    The rollout and evaluation noise does not depend on the policy, so a
+    worker thread, which alone owns the two generators, draws each step's
+    two blocks (see generate_batch) in step order, DRAW_AHEAD steps ahead of
+    the loop. A block holds the numbers generate_batch would take from the
+    generator itself, so the run does not depend on when the worker draws;
+    no worker thread outlives the call, whether it returns or raises.
 
     spec_switch, when given as (step, new_spec), swaps the task spec mid-run
     (used to probe allocation adaptation).

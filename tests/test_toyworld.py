@@ -140,12 +140,8 @@ class TestNoiseBlock:
         policy = initial_policy(spec)
         expected = generate_batch(spec, policy, 7, np.random.default_rng(5), greedy=greedy)
         block = np.random.default_rng(5).standard_normal(noise_size(spec, 7, greedy))
-        kept = block.copy()
         got = generate_batch(spec, policy, 7, block, greedy=greedy)
         assert all(self._same(a, b) for a, b in zip(got, expected))
-        assert self._same(block, kept), "the block was written"
-        from_seed = generate_batch(spec, policy, 7, 5, greedy=greedy)
-        assert all(self._same(a, b) for a, b in zip(from_seed, expected))
 
     @pytest.mark.parametrize("which", sorted(SPECS))
     def test_group_and_evaluate_from_block(self, which):
@@ -153,13 +149,13 @@ class TestNoiseBlock:
         policy = initial_policy(spec)
         group = generate_group(spec, policy, 10, np.random.default_rng(9))
         block = np.random.default_rng(9).standard_normal(noise_size(spec, 10))
-        from_block = generate_group(spec, policy, 10, block)
-        for field in ("observations", "actions", "rewards"):
-            assert self._same(getattr(from_block, field), getattr(group, field)), field
+        for rng in (block, 9):
+            from_other = generate_group(spec, policy, 10, rng)
+            for field in ("observations", "actions", "rewards"):
+                assert self._same(getattr(from_other, field), getattr(group, field)), field
         success = evaluate(spec, policy, 50, np.random.default_rng(4))
         block = np.random.default_rng(4).standard_normal(noise_size(spec, 50, greedy=True))
         assert evaluate(spec, policy, 50, block) == success
-        assert evaluate(spec, policy, 50, 4) == success
 
     @pytest.mark.parametrize("delta", [-1, 1])
     def test_wrong_length_names_expected(self, delta):

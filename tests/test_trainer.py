@@ -157,15 +157,17 @@ def _draw_threads():
 
 class TestDrawAhead:
     """train() draws each step's rollout and evaluation noise on a worker
-    thread when two cores are usable, and in the calling thread otherwise."""
+    thread, ahead of the loop, and gives the runs the loop gave when it
+    drew the noise itself."""
 
-    # sha256 of repr(run) of each run below, recorded before the noise was
-    # drawn ahead of the loop.
+    # sha256 of repr(run) of each run below and of the fast-switching run,
+    # recorded while the loop still drew its own noise.
     PINNED = {
         **TestDeterminism.PINNED_METRICS,
         "vanilla": "95d055eefd1144e77801987ab51e233bf2ca79f41600d15bde9d7c892a0c25e8",
         "spec_switch": "14210dd382cced0b00e3fe33b2f392647d1486cedfbf7c04454c56a4c06d3079",
     }
+    FAST_SWITCHING_RUN = "303b62740a95cfaf431c5a887626b0d5d7ae94bf3b597aca9f1885bc2ed1951b"
 
     @staticmethod
     def _run(name):
@@ -177,7 +179,7 @@ class TestDrawAhead:
                      ToyTaskSpec(chunks_per_traj=64))
 
     @pytest.mark.parametrize("name", sorted(PINNED))
-    def test_draw_placement_is_bit_identical(self, monkeypatch, name):
+    def test_drawn_on_worker_bit_identical(self, monkeypatch, name):
         sizes = trainer.noise_size
         drawn_in = []
 
@@ -186,24 +188,18 @@ class TestDrawAhead:
             return sizes(*args, **kwargs)
 
         monkeypatch.setattr(trainer, "noise_size", spy)
-        runs = {}
-        for cores in (2, 1):
-            monkeypatch.setattr(trainer, "_usable_cores", lambda cores=cores: cores)
-            drawn_in.clear()
-            runs[cores] = repr(self._run(name))
-            steps = 30 if name == "spec_switch" else 60
-            assert len(drawn_in) == 2 * steps
-            on_worker = {n.startswith("chunkmask-draw") for n in drawn_in}
-            assert on_worker == {cores == 2}, cores
-            assert _draw_threads() == [], "a draw worker outlived train()"
-        assert runs[2] == runs[1]
-        assert hashlib.sha256(runs[2].encode()).hexdigest() == self.PINNED[name]
+        run = repr(self._run(name))
+        steps = 30 if name == "spec_switch" else 60
+        assert len(drawn_in) == 2 * steps
+        assert all(n.startswith("chunkmask-draw") for n in drawn_in)
+        assert _draw_threads() == [], "a draw worker outlived train()"
+        assert hashlib.sha256(run.encode()).hexdigest() == self.PINNED[name]
 
     def test_worker_stays_within_depth_under_fast_switching(self, monkeypatch):
         # When step t's group is generated, steps t .. t + DRAW_AHEAD at most
-        # have been drawn (two noise_size calls each), and the run matches
-        # the in-thread one, also when the interpreter switches threads
-        # every few microseconds.
+        # have been drawn (two noise_size calls each), and the run is the
+        # pinned one, also when the interpreter switches threads every few
+        # microseconds.
         sizes, group = trainer.noise_size, trainer.generate_group
         lock, calls, seen = threading.Lock(), [0], []
 
@@ -218,9 +214,6 @@ class TestDrawAhead:
             return group(*args, **kwargs)
 
         cfg = TrainConfig(mode="vanilla", steps=40, seed=3)
-        monkeypatch.setattr(trainer, "_usable_cores", lambda: 1)
-        expected = repr(train(cfg))
-        monkeypatch.setattr(trainer, "_usable_cores", lambda: 2)
         monkeypatch.setattr(trainer, "noise_size", counting)
         monkeypatch.setattr(trainer, "generate_group", stamped)
         interval = sys.getswitchinterval()
@@ -229,7 +222,7 @@ class TestDrawAhead:
             run = repr(train(cfg))
         finally:
             sys.setswitchinterval(interval)
-        assert run == expected
+        assert hashlib.sha256(run.encode()).hexdigest() == self.FAST_SWITCHING_RUN
         assert len(seen) == cfg.steps
         for step, count in enumerate(seen):
             assert 2 * (step + 1) <= count <= 2 * (step + 1 + trainer.DRAW_AHEAD), step
@@ -245,7 +238,6 @@ class TestDrawAhead:
                 raise error
             return grad(*args, **kwargs)
 
-        monkeypatch.setattr(trainer, "_usable_cores", lambda: 2)
         monkeypatch.setattr(trainer, "masked_loss_grad", failing)
         raised = []
 
