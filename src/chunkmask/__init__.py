@@ -23,7 +23,6 @@ from .grpo import (
 )
 from .phases import (
     PHASES,
-    LabelingConfig,
     PhaseLabel,
     find_sustained_intervals,
     gripper_close_fraction,

@@ -102,12 +102,13 @@ def bias_bound(keep_probs, grad_norms) -> float:
     return float(((1.0 - keep_probs) * grad_norms).sum())
 
 
-def ratio_estimator(samples, phase_count: float, draws: int = None) -> np.ndarray:
-    """(N_c / b_c)-rescaled sum of sampled per-chunk gradient terms; unbiased
-    for the full phase gradient under uniform without-replacement sampling."""
+def ratio_estimator(samples, phase_count: float) -> np.ndarray:
+    """(N_c / b_c)-rescaled sum of the b_c sampled per-chunk gradient terms
+    (rows of samples); unbiased for the full phase gradient under uniform
+    without-replacement sampling."""
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    b = samples.shape[0] if draws is None else draws
-    if b <= 0 or samples.shape[0] == 0:
+    b = samples.shape[0]
+    if b == 0:
         raise ValueError("ratio estimator needs at least one sampled chunk")
     return phase_count / b * samples.sum(axis=0)
 

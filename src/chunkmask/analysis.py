@@ -27,7 +27,6 @@ class GroupAnalysis:
 class AnalysisResult:
     groups: list          # GroupAnalysis, file order
     keep_probs: dict      # aggregated phase -> p
-    budget: int
 
 
 def _score_groups(records, p_min: float = 0.1):
@@ -76,10 +75,9 @@ def analyze(records, budget: int = 12, p_min: float = 0.1,
             continue
         weights = state.chunk_weights(group.phase_ids)
         analysis.masks = [
-            weighted_sample_without_replacement(w[:n], min(budget, n), rng, i)
-            for i, (w, n) in enumerate(zip(weights, group.chunk_mask.sum(axis=1)))]
-    return AnalysisResult(groups=analyses, keep_probs=phase_dict(state.keep_probs),
-                          budget=budget)
+            weighted_sample_without_replacement(w[:n], min(budget, n), rng)
+            for w, n in zip(weights, group.chunk_mask.sum(axis=1))]
+    return AnalysisResult(groups=analyses, keep_probs=phase_dict(state.keep_probs))
 
 
 @dataclass

@@ -155,23 +155,19 @@ def group_advantages(rewards, epsilon: float = 1e-6) -> np.ndarray:
 class GaussianChunkPolicy:
     """Linear-Gaussian chunk policy.
 
-    The action-mean for a chunk is obs @ weights, a flattened (L*D,) vector;
-    every action entry carries the same standard deviation sigma. Log
-    probabilities and their parameter gradients are analytic, so gradient
-    claims can be checked exactly.
+    The action-mean for a chunk is obs @ weights, a flattened (L*D,) vector
+    (the width of weights); every action entry carries the same standard
+    deviation sigma. Log probabilities and their parameter gradients are
+    analytic, so gradient claims can be checked exactly.
     """
 
     weights: np.ndarray  # (F, L*D)
     sigma: float
-    chunk_len: int
-    action_dim: int
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float)
         if self.sigma <= 0.0:
             raise ValueError("policy sigma must be positive")
-        if self.weights.shape[1] != self.chunk_len * self.action_dim:
-            raise ValueError("weights must map features to chunk_len * action_dim means")
 
     def mean(self, obs: np.ndarray) -> np.ndarray:
         """Flattened action mean(s); obs may be a single (F,) vector or a

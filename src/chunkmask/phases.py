@@ -3,13 +3,13 @@
 A trajectory's gripper-close commands (reals in [0, 1]) are averaged per
 chunk, sustained-close intervals are located, and each chunk gets one of
 five semantic phases, as its phase id (an index into PHASES). Phases depend
-only on the gripper trace, never on the trajectory outcome.
+only on the gripper trace, never on the trajectory outcome. The labeling
+thresholds and window length are module constants.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -48,22 +48,12 @@ def phase_dict(values) -> dict:
             if not math.isnan(v)}
 
 
-@dataclass(frozen=True)
-class LabelingConfig:
-    sustained_close_threshold: float = 0.75
-    active_grip_threshold: float = 0.5
-    pre_grasp_low: float = 0.1
-    window_len: int = 3
-
-    def __post_init__(self):
-        if not (0.0 <= self.pre_grasp_low < self.active_grip_threshold
-                <= self.sustained_close_threshold <= 1.0):
-            raise ValueError(
-                "thresholds must satisfy 0 <= pre_grasp_low < active_grip_threshold"
-                " <= sustained_close_threshold <= 1"
-            )
-        if self.window_len < 1:
-            raise ValueError("window_len must be >= 1")
+# Labeling rule constants, with 0 <= PRE_GRASP_LOW < ACTIVE_GRIP_THRESHOLD
+# <= SUSTAINED_CLOSE_THRESHOLD <= 1.
+SUSTAINED_CLOSE_THRESHOLD = 0.75  # close fraction of a sustained-close chunk
+ACTIVE_GRIP_THRESHOLD = 0.5
+PRE_GRASP_LOW = 0.1
+WINDOW_LEN = 3  # chunks of the pre-grasp and release windows
 
 
 def gripper_close_fraction(commands, chunk_len: int) -> np.ndarray:
@@ -87,36 +77,37 @@ def find_sustained_intervals(g_f, threshold: float) -> list[tuple[int, int]]:
     return list(zip(edges[::2].tolist(), (edges[1::2] - 1).tolist()))
 
 
-def label_phases(g_f, cfg: LabelingConfig = LabelingConfig()) -> np.ndarray:
+def label_phases(g_f) -> np.ndarray:
     """Assign one phase per chunk, as a (N,) array of phase ids.
 
     Rules, resolved by the priority ACTIVE_GRIP > PRE_GRASP > RELEASE_RAMP >
     APPROACH > TAIL:
-      - active-grip: g_f >= active_grip_threshold;
-      - pre-grasp: up to window_len chunks immediately before a sustained-close
-        interval, with pre_grasp_low <= g_f < active_grip_threshold;
-      - release-ramp: up to window_len chunks immediately after a sustained
-        interval, with g_f < active_grip_threshold;
+      - active-grip: g_f >= ACTIVE_GRIP_THRESHOLD;
+      - pre-grasp: up to WINDOW_LEN chunks immediately before a sustained-close
+        interval (g_f >= SUSTAINED_CLOSE_THRESHOLD), with
+        PRE_GRASP_LOW <= g_f < ACTIVE_GRIP_THRESHOLD;
+      - release-ramp: up to WINDOW_LEN chunks immediately after a sustained
+        interval, with g_f < ACTIVE_GRIP_THRESHOLD;
       - tail: chunks after the last interval's release window with
-        g_f < pre_grasp_low;
+        g_f < PRE_GRASP_LOW;
       - approach: everything else.
 
     Without any sustained interval there are no window or tail anchors, so
     only the active-grip and approach rules can fire.
     """
     g_f = np.asarray(g_f, dtype=float)
-    intervals = find_sustained_intervals(g_f, cfg.sustained_close_threshold)
-    j, w = np.arange(g_f.size), cfg.window_len
-    below_grip = g_f < cfg.active_grip_threshold
+    intervals = find_sustained_intervals(g_f, SUSTAINED_CLOSE_THRESHOLD)
+    j, w = np.arange(g_f.size), WINDOW_LEN
+    below_grip = g_f < ACTIVE_GRIP_THRESHOLD
     ids = np.full(g_f.size, PHASES.index(PhaseLabel.APPROACH))
     # Each assignment below overrides the previous ones, implementing the
     # priority ordering from lowest to highest.
     if intervals:
-        ids[(j > intervals[-1][1] + w) & (g_f < cfg.pre_grasp_low)] = PHASES.index(PhaseLabel.TAIL)
+        ids[(j > intervals[-1][1] + w) & (g_f < PRE_GRASP_LOW)] = PHASES.index(PhaseLabel.TAIL)
     for _, end in intervals:
         ids[(j > end) & (j <= end + w) & below_grip] = PHASES.index(PhaseLabel.RELEASE_RAMP)
     for start, _ in intervals:
         ids[(j >= start - w) & (j < start) & below_grip
-            & (g_f >= cfg.pre_grasp_low)] = PHASES.index(PhaseLabel.PRE_GRASP)
+            & (g_f >= PRE_GRASP_LOW)] = PHASES.index(PhaseLabel.PRE_GRASP)
     ids[~below_grip] = PHASES.index(PhaseLabel.ACTIVE_GRIP)
     return ids

@@ -12,19 +12,12 @@ from .grpo import RolloutGroup
 
 @dataclass(frozen=True)
 class SelectionMask:
-    """Selected chunk indices for one trajectory; budget = min(B, N)."""
+    """Selected chunk indices for one trajectory, stored sorted."""
 
-    trajectory_id: int
-    indices: np.ndarray  # sorted, unique
-    budget: int
+    indices: np.ndarray
 
     def __post_init__(self):
-        indices = np.sort(np.asarray(self.indices, dtype=int))
-        object.__setattr__(self, "indices", indices)
-        if indices.size != self.budget:
-            raise ValueError("mask size must equal the trajectory budget")
-        if indices.size != np.unique(indices).size:
-            raise ValueError("mask indices must be unique")
+        object.__setattr__(self, "indices", np.sort(np.asarray(self.indices, dtype=int)))
 
 
 def weighted_sample_rows(weights, m: int, rng) -> np.ndarray:
@@ -60,14 +53,11 @@ def weighted_sample_rows(weights, m: int, rng) -> np.ndarray:
     return np.sort(np.argpartition(keys, m - 1, axis=1)[:, :m], axis=1)
 
 
-def weighted_sample_without_replacement(weights, m: int, rng,
-                                        trajectory_id: int = 0) -> SelectionMask:
+def weighted_sample_without_replacement(weights, m: int, rng) -> SelectionMask:
     """One row of weighted_sample_rows: min(m, N) distinct indices of a 1-D
-    weight vector. rng is a Generator or an int seed."""
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
+    weight vector, drawn from the Generator rng."""
     indices = weighted_sample_rows(np.asarray(weights, dtype=float)[None], m, rng)[0]
-    return SelectionMask(trajectory_id=trajectory_id, indices=indices, budget=indices.size)
+    return SelectionMask(indices)
 
 
 def inclusion_probabilities(weights, m: int) -> np.ndarray:

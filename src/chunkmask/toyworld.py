@@ -9,41 +9,43 @@ executed with strongly damped sampling noise, emulating phases a fine-tuned
 policy has already mastered; this is what concentrates both the
 success-failure action divergence and the true gradient variance on the
 critical phases, with a known ground-truth ordering.
+
+A ToyTaskSpec is an immutable value: it sets the trajectory length, the
+critical phases, the per-phase execution noise and the scene jitter, holds
+the rest as class constants, and derives every array a rollout reads once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import ClassVar, Mapping
 
 import numpy as np
 
 from .grpo import GaussianChunkPolicy, RolloutGroup, _score_terms
 from .phases import PHASES, PhaseLabel, label_phases
 
-_DEFAULT_TARGETS = {
-    PhaseLabel.ACTIVE_GRIP: (0.9, -0.4),
-    PhaseLabel.PRE_GRASP: (0.45, 0.5),
-}
-
-# Scripted demonstration actions the policy is pre-fit to in phases it is
-# assumed to have mastered.
-_DEFAULT_BASE_ACTIONS = {
-    PhaseLabel.APPROACH: (0.1, 0.1),
-    PhaseLabel.RELEASE_RAMP: (0.2, -0.2),
-    PhaseLabel.TAIL: (0.0, 0.0),
-}
-
 # Sampling-noise multiplier per phase (fraction of the policy sigma actually
 # realized during execution). Critical phases explore at full sigma; mastered
 # phases are nearly deterministic, with distinct levels so the ground-truth
 # variance ordering over all five phases is strict.
-_DEFAULT_EXEC_NOISE = {
+_DEFAULT_EXEC_NOISE = MappingProxyType({
     PhaseLabel.ACTIVE_GRIP: 1.0,
     PhaseLabel.PRE_GRASP: 0.65,
     PhaseLabel.APPROACH: 0.06,
     PhaseLabel.RELEASE_RAMP: 0.035,
     PhaseLabel.TAIL: 0.015,
-}
+})
+
+POLICY_SIGMA = 0.3  # standard deviation of the initial policy's actions
+CRITICAL_OFFSET = 0.11  # distance of a critical phase's initial mean from its target
+_ORACLE_GROUP_SIZE = 10  # rollouts per group in ground_truth_variance
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
 
 def default_gripper_profile(num_chunks: int) -> np.ndarray:
@@ -66,59 +68,79 @@ def default_gripper_profile(num_chunks: int) -> np.ndarray:
     return np.concatenate([np.full(n, v) for n, v in segments])
 
 
-@dataclass
+@dataclass(frozen=True)
 class ToyTaskSpec:
     chunks_per_traj: int = 16
-    chunk_len: int = 8
-    action_dim: int = 2
     critical_phases: tuple = (PhaseLabel.ACTIVE_GRIP, PhaseLabel.PRE_GRASP)
-    targets: dict = field(default_factory=lambda: {
-        c: np.asarray(v, dtype=float) for c, v in _DEFAULT_TARGETS.items()})
-    base_actions: dict = field(default_factory=lambda: {
-        c: np.asarray(v, dtype=float) for c, v in _DEFAULT_BASE_ACTIONS.items()})
-    exec_noise: dict = field(default_factory=lambda: dict(_DEFAULT_EXEC_NOISE))
-    tolerance: float = 0.15
+    # Copied at construction into a read-only mapping.
+    exec_noise: Mapping = field(default_factory=lambda: _DEFAULT_EXEC_NOISE)
     target_jitter: float = 0.05
-    obs_noise: float = 0.003
-    gripper_profile: np.ndarray = None
-    # Phase ids (N,) and their one-hot rows (N, F) of the scripted profile,
-    # labelled once at construction with the default LabelingConfig, as trace
-    # records are: the layout is the same for every rollout.
+
+    chunk_len: ClassVar[int] = 8
+    action_dim: ClassVar[int] = 2
+    tolerance: ClassVar[float] = 0.15
+    obs_noise: ClassVar[float] = 0.003
+    # Latent target of each phase that can be critical.
+    targets: ClassVar[Mapping] = MappingProxyType({
+        PhaseLabel.ACTIVE_GRIP: _read_only(np.array([0.9, -0.4])),
+        PhaseLabel.PRE_GRASP: _read_only(np.array([0.45, 0.5])),
+    })
+    # Scripted demonstration actions the policy is pre-fit to in phases it
+    # is assumed to have mastered.
+    base_actions: ClassVar[Mapping] = MappingProxyType({
+        PhaseLabel.APPROACH: _read_only(np.array([0.1, 0.1])),
+        PhaseLabel.RELEASE_RAMP: _read_only(np.array([0.2, -0.2])),
+        PhaseLabel.TAIL: _read_only(np.array([0.0, 0.0])),
+    })
+
+    # Derived at construction, read-only: the scripted profile (N,); its
+    # phase ids (N,) and their one-hot rows (N, F), labelled as trace
+    # records are, since the layout is the same for every rollout; the
+    # execution-noise multiplier of each chunk (N,); and the chunk indices of
+    # each critical phase, in critical_phases order.
+    gripper_profile: np.ndarray = field(init=False, repr=False, compare=False)
     layout_ids: np.ndarray = field(init=False, repr=False, compare=False)
     layout_onehot: np.ndarray = field(init=False, repr=False, compare=False)
+    noise_scale: np.ndarray = field(init=False, repr=False, compare=False)
+    critical_chunks: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.gripper_profile is None:
-            self.gripper_profile = default_gripper_profile(self.chunks_per_traj)
-        self.gripper_profile = np.asarray(self.gripper_profile, dtype=float)
-        if self.gripper_profile.size != self.chunks_per_traj:
-            raise ValueError("gripper profile length must equal chunks_per_traj")
-        self.layout_ids = label_phases(self.gripper_profile)
-        self.layout_onehot = np.eye(len(PHASES))[self.layout_ids]
-        if np.unique(self.layout_ids).size != len(PHASES):
+        profile = default_gripper_profile(self.chunks_per_traj)
+        ids = label_phases(profile)
+        if np.unique(ids).size != len(PHASES):
             raise ValueError("gripper profile must produce all five phases")
         for c in self.critical_phases:
             if c not in self.targets:
                 raise ValueError(f"critical phase {c} has no latent target")
+        noise = MappingProxyType(dict(self.exec_noise))
+        derived = {
+            "critical_phases": tuple(self.critical_phases),
+            "exec_noise": noise,
+            "gripper_profile": _read_only(profile),
+            "layout_ids": _read_only(ids),
+            "layout_onehot": _read_only(np.eye(len(PHASES))[ids]),
+            "noise_scale": _read_only(np.array([noise[c] for c in PHASES])[ids]),
+            "critical_chunks": tuple(_read_only(np.flatnonzero(ids == PHASES.index(c)))
+                                     for c in self.critical_phases),
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
 
-def initial_policy(spec: ToyTaskSpec, sigma: float = 0.3,
-                   critical_offset: float = 0.11) -> GaussianChunkPolicy:
+def initial_policy(spec: ToyTaskSpec) -> GaussianChunkPolicy:
     """Policy emulating a supervised-fine-tuned initialization: mastered
     phases are pre-fit to the scripted demonstration actions, critical phases
-    start offset from their latent targets."""
-    ld = spec.chunk_len * spec.action_dim
-    weights = np.zeros((len(PHASES), ld))
+    start CRITICAL_OFFSET from their latent targets; every action has
+    standard deviation POLICY_SIGMA."""
+    weights = np.zeros((len(PHASES), spec.chunk_len * spec.action_dim))
     for phase in PHASES:
         if phase in spec.critical_phases:
             direction = np.ones(spec.action_dim) / np.sqrt(spec.action_dim)
-            mean = spec.targets[phase] + critical_offset * direction
+            mean = spec.targets[phase] + CRITICAL_OFFSET * direction
         else:
             mean = spec.base_actions.get(phase, np.zeros(spec.action_dim))
         weights[PHASES.index(phase)] = np.tile(mean, spec.chunk_len)
-    return GaussianChunkPolicy(weights=weights, sigma=sigma,
-                               chunk_len=spec.chunk_len,
-                               action_dim=spec.action_dim)
+    return GaussianChunkPolicy(weights=weights, sigma=POLICY_SIGMA)
 
 
 def phase_mean_action(actions: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -197,15 +219,13 @@ def generate_batch(spec: ToyTaskSpec, policy: GaussianChunkPolicy, num: int,
     if not greedy:
         noise = block[cut:cut + actions.size].reshape(actions.shape)
         cut += actions.size
-        noise_scale = np.array([spec.exec_noise[c] for c in PHASES])[spec.layout_ids]
-        noise *= policy.sigma * noise_scale[:, None]
+        noise *= policy.sigma * spec.noise_scale[:, None]
         actions += noise
     actions = actions.reshape(num, n, l, d)
 
     rewards = np.ones(num)
     distances = {}
-    for phase in spec.critical_phases:
-        idx = np.flatnonzero(spec.layout_ids == PHASES.index(phase))
+    for phase, idx in zip(spec.critical_phases, spec.critical_chunks):
         realized = phase_mean_action(actions, idx)  # (num, D)
         jitter = spec.target_jitter * block[cut:cut + num * d].reshape(num, d)
         cut += num * d
@@ -232,10 +252,10 @@ def generate_group(spec: ToyTaskSpec, policy: GaussianChunkPolicy,
 
 
 def ground_truth_variance(spec: ToyTaskSpec, policy: GaussianChunkPolicy,
-                          samples: int, rng, group_size: int = 10):
+                          samples: int, rng):
     """Monte Carlo oracle for the per-phase gradient variance.
 
-    Draws `samples` rollouts in groups of `group_size`, forms group-relative
+    Draws `samples` rollouts in groups of _ORACLE_GROUP_SIZE, forms group-relative
     advantages (collapsed groups are skipped), and returns per phase the
     trace of the sample covariance of the advantage-weighted score terms and
     its standard error, as two (P,) arrays (V_c, stderr), NaN for a phase
@@ -245,8 +265,8 @@ def ground_truth_variance(spec: ToyTaskSpec, policy: GaussianChunkPolicy,
         raise ValueError("oracle needs at least 1000 rollouts")
     rng = np.random.default_rng(rng)  # a Generator passes through unchanged
     blocks = []
-    for _ in range(samples // group_size):
-        group = generate_group(spec, policy, group_size, rng)
+    for _ in range(samples // _ORACLE_GROUP_SIZE):
+        group = generate_group(spec, policy, _ORACLE_GROUP_SIZE, rng)
         if group.reward_variance == 0.0:
             continue
         blocks.append(_score_terms(group, policy))

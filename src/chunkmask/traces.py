@@ -33,11 +33,12 @@ def _reject_constant(name: str):
     raise ValueError(f"non-finite number {name}")
 
 
-# The JSON type of each scalar field. A bool is no number here (json reads
-# true as True, an int), and neither a float nor a string is an integer.
-_SCALAR_TYPES = {"trajectory_id": (int, "an integer"), "task_id": (str, "a string"),
-                 "reward": ((int, float), "a number"), "chunk_len": (int, "an integer"),
-                 "action_dim": (int, "an integer")}
+# The JSON type of each required field. A bool is no number here (json
+# reads true as True, an int), and neither a float nor a string is an integer.
+_FIELD_TYPES = {"trajectory_id": (int, "an integer"), "task_id": (str, "a string"),
+                "reward": ((int, float), "a number"), "chunk_len": (int, "an integer"),
+                "action_dim": (int, "an integer"), "gripper": (list, "an array"),
+                "observations": (list, "an array"), "actions": (list, "an array")}
 
 
 @dataclass
@@ -115,7 +116,7 @@ class TraceRecord:
         except ValueError as exc:
             raise TraceFormatError(line_number, f"invalid JSON: {exc}") from exc
         try:
-            for key, (types, kind) in _SCALAR_TYPES.items():
+            for key, (types, kind) in _FIELD_TYPES.items():
                 value = payload[key]
                 if isinstance(value, bool) or not isinstance(value, types):
                     raise TypeError(f"{key} must be {kind}, got {json.dumps(value)}")

@@ -22,6 +22,7 @@ from .toyworld import ToyTaskSpec, generate_batch, generate_group, initial_polic
 MODES = ("pcm", "vanilla", "random_mask", "full_mask")
 EVAL_ROLLOUTS = 50  # greedy rollouts behind each step's success rate
 DRAW_AHEAD = 2  # steps whose noise the draw worker holds ready beyond the current one
+FINAL_WINDOW = 10  # last steps averaged by final_success
 
 
 @dataclass
@@ -212,10 +213,9 @@ def run_seeds(config: TrainConfig, seeds,
     return [train(replace(config, seed=int(seed)), spec) for seed in seeds]
 
 
-def final_success(run: list[StepMetrics], window: int = 10) -> float:
-    """Mean evaluation success over the last `window` steps of a run."""
-    tail = run[-window:]
-    return float(np.mean([m.success_rate for m in tail]))
+def final_success(run: list[StepMetrics]) -> float:
+    """Mean evaluation success over the last FINAL_WINDOW steps of a run."""
+    return float(np.mean([m.success_rate for m in run[-FINAL_WINDOW:]]))
 
 
 def moving_average(values, window: int = 5) -> np.ndarray:

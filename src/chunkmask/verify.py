@@ -45,14 +45,17 @@ def _random_stats(rng, budget: int, max_phases: int = 5) -> PhaseStats:
     return PhaseStats(counts=counts, variances=variances, budget=budget)
 
 
-def _simplex_grid(k: int, budget: float, resolution: float, rng,
-                  samples: int) -> np.ndarray:
-    """Lattice points on the budget simplex at the given resolution.
+_GRID_UNITS = 1000  # lattice steps per budget
+_GRID_SAMPLES = 20000  # lattice points sampled for K > 2 phases
+
+
+def _simplex_grid(k: int, budget: float, rng) -> np.ndarray:
+    """Lattice points on the budget simplex, spaced budget / _GRID_UNITS.
 
     K=2 is enumerated exhaustively; larger K is sampled uniformly over
-    compositions (the variance surface is convex, so any lattice point is a
-    valid no-better witness)."""
-    units = max(1, int(round(budget / resolution)))
+    _GRID_SAMPLES compositions (the variance surface is convex, so any
+    lattice point is a valid no-better witness)."""
+    units, samples = _GRID_UNITS, _GRID_SAMPLES
     if k == 2:
         a = np.arange(units + 1)
         grid = np.stack([a, units - a], axis=1)
@@ -65,9 +68,7 @@ def _simplex_grid(k: int, budget: float, resolution: float, rng,
 
 
 def check_allocation_optimality(seed: int = 0, instances: int = 100,
-                                budget: int = 12, resolution_factor: float = 1e-3,
-                                grid_samples: int = 20000,
-                                rtol: float = 1e-9) -> CheckResult:
+                                budget: int = 12, rtol: float = 1e-9) -> CheckResult:
     """The closed-form minimum matches the variance at the computed
     allocation, and no simplex grid point does better."""
     rng = np.random.default_rng(seed)
@@ -84,8 +85,7 @@ def check_allocation_optimality(seed: int = 0, instances: int = 100,
                 "allocation_optimality", False,
                 f"closed form {closed} vs variance at allocation {at_opt}",
                 {"relative_error": rel})
-        grid = _simplex_grid(stats.num_phases, budget,
-                             resolution_factor * budget, rng, grid_samples)
+        grid = _simplex_grid(stats.num_phases, budget, rng)
         num = stats.counts**2 * stats.variances
         with np.errstate(divide="ignore"):
             grid_var = np.where(
@@ -98,7 +98,7 @@ def check_allocation_optimality(seed: int = 0, instances: int = 100,
                 {"grid_min": float(grid_var.min()), "at_allocation": at_opt})
     return CheckResult("allocation_optimality", True,
                        f"{instances} randomized instances, grid resolution "
-                       f"{resolution_factor * budget}",
+                       f"{budget / _GRID_UNITS}",
                        {"worst_relative_error": worst_rel})
 
 
@@ -230,7 +230,7 @@ def check_gradient_finite_difference(seed: int = 0, instances: int = 100,
         f, l, d, g, n = 3, 2, 2, 3, 4
         policy = GaussianChunkPolicy(
             weights=rng.normal(size=(f, l * d)),
-            sigma=float(rng.uniform(0.3, 1.5)), chunk_len=l, action_dim=d)
+            sigma=float(rng.uniform(0.3, 1.5)))
         rewards = np.array([1.0, 0.0, float(rng.integers(0, 2))])
         trajectories = [
             ChunkedTrajectory(

@@ -19,8 +19,7 @@ from chunkmask.grpo import (
     group_advantages,
     phase_gradient_stats,
 )
-from chunkmask.phases import (PHASES, LabelingConfig, PhaseLabel, label_phases, phase_dict,
-                              phase_ids)
+from chunkmask.phases import PHASES, PhaseLabel, label_phases, phase_dict, phase_ids
 from chunkmask.sampling import weighted_sample_rows
 from chunkmask.scores import GroupCollapsedError, compute_phase_scores
 from chunkmask.toyworld import (
@@ -148,7 +147,7 @@ def test_criterion_06_signal_and_variance_concentration():
     bound_ok = True
     for sigma in (0.3, 0.6, 1.0):
         for d in (0.2, 1.0, 3.0):
-            policy1 = GaussianChunkPolicy(np.zeros((1, 1)), sigma, 1, 1)
+            policy1 = GaussianChunkPolicy(np.zeros((1, 1)), sigma)
             rng = np.random.default_rng(7)
             trajs = []
             for i in range(200):
@@ -223,7 +222,6 @@ def test_criterion_10_sampling_correctness():
 
 
 def test_criterion_11_phase_labeling():
-    cfg = LabelingConfig()
     golden = [
         ([0.0, 0.2, 0.8, 0.8, 0.3, 0.0], [AP, PG, AG, AG, RR, RR]),
         ([0.0] * 6, [AP] * 6),
@@ -235,7 +233,7 @@ def test_criterion_11_phase_labeling():
         # No grasp anywhere, mid-band values stay approach.
         ([0.05, 0.3, 0.4, 0.2, 0.0], [AP] * 5),
     ]
-    golden_ok = all(np.array_equal(label_phases(g, cfg), phase_ids(expected))
+    golden_ok = all(np.array_equal(label_phases(g), phase_ids(expected))
                     for g, expected in golden)
 
     # Reward-blindness: label-free trace records of a toy group are labelled

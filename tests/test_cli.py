@@ -8,6 +8,13 @@ from chunkmask.toyworld import ToyTaskSpec, generate_group, initial_policy
 from chunkmask.traces import TraceRecord, write_traces
 
 
+# An array field given as a JSON number, string, bool or null, with test ids.
+_KINDS = {"5": "number", '"x"': "string", "true": "bool", "null": "null"}
+NOT_ARRAYS = [(field, None, value) for field in ("gripper", "observations", "actions")
+              for value in _KINDS]
+NOT_ARRAY_IDS = [f"{field}-not-array-{_KINDS[value]}" for field, _, value in NOT_ARRAYS]
+
+
 @pytest.fixture
 def trace_file(tmp_path):
     spec = ToyTaskSpec()
@@ -164,12 +171,12 @@ class TestAnalyze:
         ("task_id", None, "7"),
         ("reward", None, '"1"'),
         ("reward", None, "true"),
-    ], ids=["gripper-above-1", "gripper-below-0", "gripper-nan", "unknown-label",
+    ] + NOT_ARRAYS, ids=["gripper-above-1", "gripper-below-0", "gripper-nan", "unknown-label",
             "action-nan", "action-infinity", "action-overflow", "observation-overflow",
             "action-string", "action-nested", "observation-short-row",
             "trajectory-id-float", "trajectory-id-string", "chunk-len-float",
             "action-dim-float", "task-id-null", "task-id-number",
-            "reward-string", "reward-bool"])
+            "reward-string", "reward-bool"] + NOT_ARRAY_IDS)
     def test_invalid_value_skips_its_line(self, trace_file, capsys, field, index, value):
         lines = trace_file.read_text().splitlines()
         payload = json.loads(lines[0])
@@ -182,6 +189,7 @@ class TestAnalyze:
         assert main(["analyze", str(trace_file)]) == 0
         captured = capsys.readouterr()
         assert "malformed" in captured.err and "line 1:" in captured.err
+        assert len(captured.err.splitlines()) == 1
 
         def reject(name):
             raise AssertionError(f"non-standard JSON constant {name} in the report")

@@ -52,8 +52,7 @@ def random_group(rng, g=4, n=5, f=3, l=2, d=2):
 
 def random_policy(rng, f=3, l=2, d=2):
     return GaussianChunkPolicy(weights=rng.normal(size=(f, l * d)),
-                               sigma=float(rng.uniform(0.4, 1.2)),
-                               chunk_len=l, action_dim=d)
+                               sigma=float(rng.uniform(0.4, 1.2)))
 
 
 class TestGroupLayout:
@@ -109,7 +108,7 @@ class TestPolicy:
 
     def test_sigma_validated(self):
         with pytest.raises(ValueError):
-            GaussianChunkPolicy(np.zeros((2, 4)), 0.0, 2, 2)
+            GaussianChunkPolicy(np.zeros((2, 4)), 0.0)
 
 
 class TestGradients:

@@ -6,8 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chunkmask.phases import (
+    ACTIVE_GRIP_THRESHOLD,
     PHASES,
-    LabelingConfig,
+    PRE_GRASP_LOW,
+    SUSTAINED_CLOSE_THRESHOLD,
+    WINDOW_LEN,
     PhaseLabel,
     find_sustained_intervals,
     gripper_close_fraction,
@@ -65,22 +68,22 @@ class TestSustainedIntervals:
 class TestGoldenLabelings:
     def test_basic_grasp_cycle(self):
         g_f = [0.0, 0.2, 0.8, 0.8, 0.3, 0.0]
-        assert label_phases(g_f, LabelingConfig()).tolist() == [AP, PG, AG, AG, RR, RR]
+        assert label_phases(g_f).tolist() == [AP, PG, AG, AG, RR, RR]
 
     def test_all_open_is_approach(self):
-        assert label_phases([0.0] * 6, LabelingConfig()).tolist() == [AP] * 6
+        assert label_phases([0.0] * 6).tolist() == [AP] * 6
 
     def test_release_window_then_tail(self):
         g_f = [0.0, 0.0, 0.9, 0.9, 0.0, 0.0, 0.0, 0.05]
         expected = [AP, AP, AG, AG, RR, RR, RR, TL]
-        assert label_phases(g_f, LabelingConfig()).tolist() == expected
+        assert label_phases(g_f).tolist() == expected
 
     def test_multi_grasp_between_cycles_is_approach(self):
         # Two grasp cycles far enough apart that the middle chunks fall in
         # neither the release window of the first nor the pre-grasp window
         # of the second.
         g_f = [0.0, 0.2, 0.9, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.2, 0.9, 0.0, 0.0]
-        labels = label_phases(g_f, LabelingConfig()).tolist()
+        labels = label_phases(g_f).tolist()
         assert labels[2] == AG and labels[10] == AG
         assert labels[6] == AP  # between cycles, outside both windows
         assert labels[-1] == RR
@@ -90,17 +93,16 @@ class TestGoldenLabelings:
         # Chunk 3 lies in the release window of the first interval and in the
         # pre-grasp band of the second.
         g_f = [0.2, 0.9, 0.9, 0.3, 0.9, 0.0]
-        labels = label_phases(g_f, LabelingConfig()).tolist()
+        labels = label_phases(g_f).tolist()
         assert labels[3] == PG
 
     def test_isolated_close_chunk_without_sustained_interval(self):
-        cfg = LabelingConfig(sustained_close_threshold=0.75)
-        labels = label_phases([0.0, 0.6, 0.0], cfg).tolist()
+        labels = label_phases([0.0, 0.6, 0.0]).tolist()
         assert labels == [AP, AG, AP]
 
     def test_mid_band_after_final_release_is_approach_not_tail(self):
         g_f = [0.0, 0.9, 0.9, 0.0, 0.0, 0.0, 0.3]
-        labels = label_phases(g_f, LabelingConfig()).tolist()
+        labels = label_phases(g_f).tolist()
         assert labels[-1] == AP
 
 
@@ -111,42 +113,37 @@ class TestProperties:
         return [rng.uniform(0, 1, size=rng.integers(1, 40)) for _ in range(50)]
 
     def test_deterministic(self, random_fractions):
-        cfg = LabelingConfig()
         for g_f in random_fractions:
-            assert np.array_equal(label_phases(g_f, cfg), label_phases(g_f, cfg))
+            assert np.array_equal(label_phases(g_f), label_phases(g_f))
 
     def test_every_chunk_gets_exactly_one_label(self, random_fractions):
-        cfg = LabelingConfig()
         for g_f in random_fractions:
-            labels = label_phases(g_f, cfg).tolist()
+            labels = label_phases(g_f).tolist()
             assert len(labels) == len(g_f)
             assert all(c in range(len(PHASES)) for c in labels)
 
     def test_active_grip_priority_is_absolute(self, random_fractions):
-        cfg = LabelingConfig()
         for g_f in random_fractions:
-            for g, label in zip(g_f, label_phases(g_f, cfg).tolist()):
-                if g >= cfg.active_grip_threshold:
+            for g, label in zip(g_f, label_phases(g_f).tolist()):
+                if g >= ACTIVE_GRIP_THRESHOLD:
                     assert label == AG
 
     def test_window_caps(self, random_fractions):
-        cfg = LabelingConfig()
+        w = WINDOW_LEN
         for g_f in random_fractions:
-            labels = label_phases(g_f, cfg).tolist()
-            intervals = find_sustained_intervals(g_f, cfg.sustained_close_threshold)
+            labels = label_phases(g_f).tolist()
+            intervals = find_sustained_intervals(g_f, SUSTAINED_CLOSE_THRESHOLD)
             for start, end in intervals:
-                before = labels[max(0, start - cfg.window_len):start]
-                assert sum(c == PG for c in before) <= cfg.window_len
-                after = labels[end + 1:end + 1 + cfg.window_len]
-                assert sum(c == RR for c in after) <= cfg.window_len
-            # No pre-grasp chunk further than window_len from an interval.
+                before = labels[max(0, start - w):start]
+                assert sum(c == PG for c in before) <= w
+                after = labels[end + 1:end + 1 + w]
+                assert sum(c == RR for c in after) <= w
+            # No pre-grasp chunk further than WINDOW_LEN from an interval.
             for j, label in enumerate(labels):
                 if label == PG:
-                    assert any(0 < start - j <= cfg.window_len
-                               for start, _ in intervals)
+                    assert any(0 < start - j <= w for start, _ in intervals)
                 if label == RR:
-                    assert any(0 < j - end <= cfg.window_len
-                               for _, end in intervals)
+                    assert any(0 < j - end <= w for _, end in intervals)
 
     def test_labels_blind_to_trace_scale_outside_thresholds(self):
         # Same fractions, averaged per chunk from the timestep trace.
@@ -157,11 +154,9 @@ class TestProperties:
 
     @settings(max_examples=300, deadline=None, database=None)
     @given(st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.1, 0.5, 0.75, 1.0])),
-                    min_size=1, max_size=40),
-           st.integers(1, 4))
-    def test_matches_per_chunk_reference(self, g_f, window_len):
-        cfg = LabelingConfig(window_len=window_len)
-        assert label_phases(g_f, cfg).tolist() == reference_labels(g_f, cfg)
+                    min_size=1, max_size=40))
+    def test_matches_per_chunk_reference(self, g_f):
+        assert label_phases(g_f).tolist() == reference_labels(g_f)
 
     @settings(max_examples=100, deadline=None, database=None)
     @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=60), st.integers(1, 8),
@@ -180,10 +175,10 @@ class TestProperties:
                               record.to_trajectory().phase_ids)
 
 
-def reference_labels(g_f, cfg):
+def reference_labels(g_f):
     """The five rules applied chunk by chunk in priority order: active-grip,
     pre-grasp, release-ramp, tail, and approach for everything else."""
-    closed = [g >= cfg.sustained_close_threshold for g in g_f]
+    closed = [g >= SUSTAINED_CLOSE_THRESHOLD for g in g_f]
     intervals, j = [], 0
     while j < len(g_f):
         if closed[j]:
@@ -192,26 +187,16 @@ def reference_labels(g_f, cfg):
                 j += 1
             intervals.append((start, j))
         j += 1
-    w, labels = cfg.window_len, []
+    w, labels = WINDOW_LEN, []
     for j, g in enumerate(g_f):
-        if g >= cfg.active_grip_threshold:
+        if g >= ACTIVE_GRIP_THRESHOLD:
             labels.append(AG)
-        elif g >= cfg.pre_grasp_low and any(0 < s - j <= w for s, _ in intervals):
+        elif g >= PRE_GRASP_LOW and any(0 < s - j <= w for s, _ in intervals):
             labels.append(PG)
         elif any(0 < j - e <= w for _, e in intervals):
             labels.append(RR)
-        elif intervals and j > intervals[-1][1] + w and g < cfg.pre_grasp_low:
+        elif intervals and j > intervals[-1][1] + w and g < PRE_GRASP_LOW:
             labels.append(TL)
         else:
             labels.append(AP)
     return labels
-
-
-class TestConfigValidation:
-    def test_threshold_ordering_enforced(self):
-        with pytest.raises(ValueError):
-            LabelingConfig(pre_grasp_low=0.6, active_grip_threshold=0.5)
-
-    def test_window_len_positive(self):
-        with pytest.raises(ValueError):
-            LabelingConfig(window_len=0)

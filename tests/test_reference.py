@@ -48,7 +48,7 @@ def ragged_groups(draw):
             gripper=rng.uniform(size=t),
             phase_ids=rng.integers(0, len(PHASES), size=n),
             reward=rewards[i], trajectory_id=i))
-    policy = GaussianChunkPolicy(rng.normal(size=(f, l * d)), float(rng.uniform(0.3, 1.5)), l, d)
+    policy = GaussianChunkPolicy(rng.normal(size=(f, l * d)), float(rng.uniform(0.3, 1.5)))
     return trajectories, policy
 
 

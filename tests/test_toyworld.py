@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,12 @@ from chunkmask.trainer import evaluate
 AG = PhaseLabel.ACTIVE_GRIP
 PG = PhaseLabel.PRE_GRASP
 
+SPECS = {
+    "16": lambda: ToyTaskSpec(),
+    "64": lambda: ToyTaskSpec(chunks_per_traj=64),
+    "one-critical": lambda: ToyTaskSpec(critical_phases=(AG,)),
+}
+
 
 class TestSpec:
     def test_default_profile_produces_all_phases(self):
@@ -31,17 +39,61 @@ class TestSpec:
         assert counts[PHASES.index(PG)] == 3
         assert counts.sum() == 64
 
-    def test_profile_length_validated(self):
-        with pytest.raises(ValueError):
-            ToyTaskSpec(chunks_per_traj=16, gripper_profile=np.zeros(10))
+    def test_profile_without_grasp_rejected(self, monkeypatch):
+        import chunkmask.toyworld as toyworld
 
-    def test_profile_without_grasp_rejected(self):
-        with pytest.raises(ValueError):
-            ToyTaskSpec(chunks_per_traj=16, gripper_profile=np.zeros(16))
+        monkeypatch.setattr(toyworld, "default_gripper_profile", np.zeros)
+        with pytest.raises(ValueError, match="all five phases"):
+            ToyTaskSpec(chunks_per_traj=16)
 
     def test_critical_phase_needs_target(self):
         with pytest.raises(ValueError):
             ToyTaskSpec(critical_phases=(AG, PG, PhaseLabel.TAIL))
+
+
+class TestImmutableSpec:
+    @pytest.mark.parametrize("name, value", [
+        ("chunks_per_traj", 64), ("critical_phases", (AG,)), ("exec_noise", {}),
+        ("target_jitter", 0.0), ("noise_scale", np.zeros(16))])
+    def test_fields_cannot_be_assigned(self, name, value):
+        spec = ToyTaskSpec()
+        with pytest.raises(FrozenInstanceError):
+            setattr(spec, name, value)
+
+    def test_exec_noise_is_read_only(self):
+        spec = ToyTaskSpec()
+        with pytest.raises(TypeError):
+            spec.exec_noise[PG] = 0.0
+        assert spec.exec_noise[PG] == 0.65
+
+    def test_arrays_are_read_only(self):
+        spec = ToyTaskSpec()
+        arrays = [spec.gripper_profile, spec.layout_ids, spec.layout_onehot,
+                  spec.noise_scale, *spec.critical_chunks, *spec.targets.values(),
+                  *spec.base_actions.values()]
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+
+    def test_spec_copies_the_noise_it_is_given(self):
+        noise = dict(ToyTaskSpec().exec_noise)
+        spec = ToyTaskSpec(exec_noise=noise)
+        scale = spec.noise_scale.copy()
+        noise[PG] = 0.06
+        assert spec.exec_noise[PG] == 0.65
+        assert np.array_equal(spec.noise_scale, scale)
+
+    @pytest.mark.parametrize("which", sorted(SPECS))
+    def test_derived_arrays_match_per_call_expressions(self, which):
+        # The expressions generate_batch evaluated on every call before the
+        # spec derived them once.
+        spec = SPECS[which]()
+        scale = np.array([spec.exec_noise[c] for c in PHASES])[spec.layout_ids]
+        assert scale.dtype == spec.noise_scale.dtype
+        assert scale.tobytes() == spec.noise_scale.tobytes()
+        assert len(spec.critical_chunks) == len(spec.critical_phases)
+        for phase, idx in zip(spec.critical_phases, spec.critical_chunks):
+            assert np.array_equal(idx, np.flatnonzero(spec.layout_ids == PHASES.index(phase)))
 
 
 class TestRollouts:
@@ -74,7 +126,7 @@ class TestRollouts:
 
     def test_initial_policy_offsets_critical_means(self):
         spec = ToyTaskSpec()
-        policy = initial_policy(spec, critical_offset=0.11)
+        policy = initial_policy(spec)
         for phase in spec.critical_phases:
             row = policy.weights[PHASES.index(phase)].reshape(
                 spec.chunk_len, spec.action_dim)[0]
@@ -121,12 +173,6 @@ class TestRollouts:
 class TestNoiseBlock:
     """A pre-drawn noise block stands in for the Generator it came from."""
 
-    SPECS = {
-        "16": lambda: ToyTaskSpec(),
-        "64": lambda: ToyTaskSpec(chunks_per_traj=64),
-        "one-critical": lambda: ToyTaskSpec(critical_phases=(AG,)),
-    }
-
     @staticmethod
     def _same(a, b):
         if isinstance(a, dict):
@@ -136,7 +182,7 @@ class TestNoiseBlock:
     @pytest.mark.parametrize("greedy", [False, True], ids=["sampled", "greedy"])
     @pytest.mark.parametrize("which", sorted(SPECS))
     def test_batch_from_block_matches_generator(self, which, greedy):
-        spec = self.SPECS[which]()
+        spec = SPECS[which]()
         policy = initial_policy(spec)
         expected = generate_batch(spec, policy, 7, np.random.default_rng(5), greedy=greedy)
         block = np.random.default_rng(5).standard_normal(noise_size(spec, 7, greedy))
@@ -145,7 +191,7 @@ class TestNoiseBlock:
 
     @pytest.mark.parametrize("which", sorted(SPECS))
     def test_group_and_evaluate_from_block(self, which):
-        spec = self.SPECS[which]()
+        spec = SPECS[which]()
         policy = initial_policy(spec)
         group = generate_group(spec, policy, 10, np.random.default_rng(9))
         block = np.random.default_rng(9).standard_normal(noise_size(spec, 10))

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,23 @@ class TestValidation:
         loaded = read_traces(path, on_error=errors.append)
         assert len(loaded) == 3
         assert sorted(e.line_number for e in errors) == [2, 4]
+
+    @pytest.mark.parametrize("value", ["5", '"x"', "true", "null"],
+                             ids=["number", "string", "bool", "null"])
+    @pytest.mark.parametrize("field", ["gripper", "observations", "actions"])
+    def test_non_array_field_rejected(self, tmp_path, field, value):
+        records = toy_records(tasks=1, group_size=3)
+        lines = [r.to_json() for r in records]
+        payload = json.loads(lines[1])
+        payload[field] = "VALUE"
+        lines[1] = json.dumps(payload).replace('"VALUE"', value)
+        path = tmp_path / "traces.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        errors = []
+        loaded = read_traces(path, on_error=errors.append)
+        assert [r.trajectory_id for r in loaded] == [0, 2]
+        assert len(errors) == 1 and errors[0].line_number == 2
+        assert f"{field} must be an array, got {value}" in str(errors[0])
 
     def test_blank_lines_ignored(self, tmp_path):
         records = toy_records(tasks=1, group_size=2)

@@ -146,9 +146,9 @@ class TestDeterminism:
 def _switch_specs():
     """TestAdaptation's spec switch: from step 15 only the active grip is
     critical, so a batch draws one jitter pair fewer per rollout."""
-    switched = ToyTaskSpec(critical_phases=(AG,))
-    switched.exec_noise[PG] = 0.06
-    return ToyTaskSpec(), (15, switched)
+    base = ToyTaskSpec()
+    switched = ToyTaskSpec(critical_phases=(AG,), exec_noise={**base.exec_noise, PG: 0.06})
+    return base, (15, switched)
 
 
 def _draw_threads():
