@@ -33,80 +33,91 @@ def _reject_constant(name: str):
     raise ValueError(f"non-finite number {name}")
 
 
-# The JSON type of each required field. A bool is no number here (json
-# reads true as True, an int), and neither a float nor a string is an integer.
+# The JSON type of each required field, in wire order. A bool is no number
+# here (json reads true as True, an int), and neither a float nor a string is
+# an integer.
 _FIELD_TYPES = {"trajectory_id": (int, "an integer"), "task_id": (str, "a string"),
                 "reward": ((int, float), "a number"), "chunk_len": (int, "an integer"),
                 "action_dim": (int, "an integer"), "gripper": (list, "an array"),
                 "observations": (list, "an array"), "actions": (list, "an array")}
 
 
-@dataclass
+def _length(name: str, value) -> int:
+    """len() of an array field; ValueError naming the field if it is no array."""
+    try:
+        if not isinstance(value, str):
+            return len(value)
+    except TypeError:
+        pass
+    raise ValueError(f"{name} must be an array, got {value!r}")
+
+
+@dataclass(frozen=True)
 class TraceRecord:
+    """One trajectory of a trace file, checked when it is built: a malformed
+    record raises ValueError. The arrays are stored read-only, as float
+    copies; labels as a tuple of label names. phase_ids (N,) is computed
+    once: the ids of the stored labels, which win, or without labels the
+    ids label_phases gives the gripper trace."""
+
     trajectory_id: int
     task_id: str
     reward: float
     chunk_len: int
-    # Lists as read; validate() stores them as float arrays.
-    gripper: list          # per-timestep close commands, length T
-    observations: list     # per-chunk feature vectors, length N
-    actions: list          # per-timestep action values, flattened, length T*D
+    gripper: np.ndarray       # per-timestep close commands, (T,)
+    observations: np.ndarray  # per-chunk feature vectors, (N, F)
+    actions: np.ndarray       # per-timestep action values, flattened, (T*D,)
     action_dim: int
-    labels: list = None    # optional phase label names, length N
+    labels: tuple = None      # optional phase label names, length N
+    phase_ids: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def validate(self, line_number: int = 0) -> None:
-        """Raise TraceFormatError for a malformed record; otherwise store
-        gripper, actions and observations as the float arrays checked."""
-        t = len(self.gripper)
+    def __post_init__(self):
+        t, rows, values = (_length(name, getattr(self, name))
+                           for name in ("gripper", "observations", "actions"))
         if t == 0:
-            raise TraceFormatError(line_number, "empty gripper trace")
+            raise ValueError("empty gripper trace")
         if self.chunk_len < 1:
-            raise TraceFormatError(line_number, "chunk_len must be >= 1")
+            raise ValueError("chunk_len must be >= 1")
         if self.action_dim < 1:
-            raise TraceFormatError(line_number, "action_dim must be >= 1")
+            raise ValueError("action_dim must be >= 1")
         n = -(-t // self.chunk_len)
-        if len(self.observations) != n:
-            raise TraceFormatError(
-                line_number, f"expected {n} per-chunk observations, got {len(self.observations)}")
-        if len(self.actions) != t * self.action_dim:
-            raise TraceFormatError(
-                line_number,
-                f"action array length {len(self.actions)} != T*D = {t * self.action_dim}")
+        if rows != n:
+            raise ValueError(f"expected {n} per-chunk observations, got {rows}")
+        if values != t * self.action_dim:
+            raise ValueError(f"action array length {values} != T*D = {t * self.action_dim}")
         try:
-            gripper = np.asarray(self.gripper, dtype=float)
-            actions = np.asarray(self.actions, dtype=float)
-            observations = np.asarray(self.observations, dtype=float)
-            labels = None if self.labels is None else [PhaseLabel(c) for c in self.labels]
+            gripper = np.array(self.gripper, dtype=float)
+            actions = np.array(self.actions, dtype=float)
+            observations = np.array(self.observations, dtype=float)
+            labels = (None if self.labels is None
+                      else tuple(PhaseLabel(c).value for c in self.labels))
         except (TypeError, ValueError) as exc:
-            raise TraceFormatError(line_number, f"bad record: {exc}") from exc
+            raise ValueError(f"bad record: {exc}") from exc
         if gripper.ndim != 1 or actions.ndim != 1 or observations.ndim != 2:
-            raise TraceFormatError(
-                line_number, "gripper and actions must be flat lists and observations "
-                "a list of equal-length feature rows")
+            raise ValueError("gripper and actions must be flat lists and observations "
+                             "a list of equal-length feature rows")
         if not np.all((gripper >= 0.0) & (gripper <= 1.0)):
-            raise TraceFormatError(line_number, "gripper commands must lie in [0, 1]")
+            raise ValueError("gripper commands must lie in [0, 1]")
         if not (np.isfinite(actions).all() and np.isfinite(observations).all()):
-            raise TraceFormatError(line_number, "actions and observations must be finite")
+            raise ValueError("actions and observations must be finite")
         if labels is not None and len(labels) != n:
-            raise TraceFormatError(line_number, "labels must cover every chunk")
+            raise ValueError("labels must cover every chunk")
         if self.reward not in (0.0, 1.0):
-            raise TraceFormatError(
-                line_number, f"reward must be 0 (failure) or 1 (success), got {self.reward}")
-        self.gripper, self.actions, self.observations = gripper, actions, observations
+            raise ValueError(f"reward must be 0 (failure) or 1 (success), got {self.reward}")
+        ids = (phase_ids(labels) if labels is not None
+               else label_phases(gripper_close_fraction(gripper, self.chunk_len)))
+        for name, value in (("gripper", gripper), ("actions", actions),
+                            ("observations", observations), ("phase_ids", ids)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "labels", labels)
 
     def to_json(self) -> str:
-        payload = {
-            "trajectory_id": self.trajectory_id,
-            "task_id": self.task_id,
-            "reward": self.reward,
-            "chunk_len": self.chunk_len,
-            "action_dim": self.action_dim,
-            "gripper": list(map(float, self.gripper)),
-            "observations": [list(map(float, o)) for o in self.observations],
-            "actions": list(map(float, self.actions)),
-        }
+        payload = {key: getattr(self, key) for key in _FIELD_TYPES}
+        for key in ("gripper", "observations", "actions"):
+            payload[key] = payload[key].tolist()
         if self.labels is not None:
-            payload["labels"] = [PhaseLabel(c).value for c in self.labels]
+            payload["labels"] = list(self.labels)
         return json.dumps(payload)
 
     @classmethod
@@ -120,44 +131,29 @@ class TraceRecord:
                 value = payload[key]
                 if isinstance(value, bool) or not isinstance(value, types):
                     raise TypeError(f"{key} must be {kind}, got {json.dumps(value)}")
-            record = cls(
-                trajectory_id=payload["trajectory_id"],
-                task_id=payload["task_id"],
-                reward=float(payload["reward"]),
-                chunk_len=payload["chunk_len"],
-                action_dim=payload["action_dim"],
-                gripper=payload["gripper"],
-                observations=payload["observations"],
-                actions=payload["actions"],
-                labels=payload.get("labels"),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            values = {key: payload[key] for key in _FIELD_TYPES}
+            values["reward"] = float(values["reward"])
+        except (KeyError, TypeError, OverflowError) as exc:
             raise TraceFormatError(line_number, f"bad record: {exc}") from exc
-        record.validate(line_number)
-        return record
+        try:
+            return cls(**values, labels=payload.get("labels"))
+        except ValueError as exc:
+            raise TraceFormatError(line_number, str(exc)) from exc
 
     def to_trajectory(self) -> ChunkedTrajectory:
-        """Chunk the flat arrays; missing labels are recomputed from the
-        gripper trace. A trailing partial chunk is zero-padded in the action
+        """The record as a trajectory of N chunks, its arrays and phase ids
+        passed through. A trailing partial chunk is zero-padded in the action
         tensor; the gripper trace keeps the real length T, from which
         RolloutGroup.from_trajectories marks the padding invalid, so scores
         and gradients see only the real timesteps."""
-        gripper = np.asarray(self.gripper, dtype=float)
-        t = gripper.size
-        n = -(-t // self.chunk_len)
-        actions = np.asarray(self.actions, dtype=float).reshape(t, self.action_dim)
+        t, n = self.gripper.size, self.phase_ids.size
         padded = np.zeros((n * self.chunk_len, self.action_dim))
-        padded[:t] = actions
-        chunked = padded.reshape(n, self.chunk_len, self.action_dim)
-        if self.labels is not None:
-            ids = phase_ids(self.labels)
-        else:
-            ids = label_phases(gripper_close_fraction(gripper, self.chunk_len))
+        padded[:t] = self.actions.reshape(t, self.action_dim)
         return ChunkedTrajectory(
-            observations=np.asarray(self.observations, dtype=float),
-            actions=chunked,
-            gripper=gripper,
-            phase_ids=ids,
+            observations=self.observations,
+            actions=padded.reshape(n, self.chunk_len, self.action_dim),
+            gripper=self.gripper,
+            phase_ids=self.phase_ids,
             reward=self.reward,
             trajectory_id=self.trajectory_id,
         )
@@ -167,16 +163,15 @@ class TraceRecord:
                         include_labels: bool = True) -> "TraceRecord":
         t = len(traj.gripper)
         d = traj.actions.shape[-1]
-        flat = traj.actions.reshape(-1, d)[:t].reshape(-1)
         return cls(
             trajectory_id=traj.trajectory_id,
             task_id=task_id,
             reward=traj.reward,
             chunk_len=traj.actions.shape[1],
             action_dim=d,
-            gripper=list(traj.gripper),
-            observations=[list(o) for o in traj.observations],
-            actions=list(flat),
+            gripper=traj.gripper,
+            observations=traj.observations,
+            actions=traj.actions.reshape(-1, d)[:t].reshape(-1),
             labels=[PHASES[k].value for k in traj.phase_ids] if include_labels else None,
         )
 
@@ -222,12 +217,11 @@ def records_to_group(records) -> RolloutGroup:
     if len(records) < 2:
         task = records[0].task_id if records else None
         raise GroupShapeError(f"task {task!r}: group size {len(records)} < 2")
-    trajectories = [r.to_trajectory() for r in records]
-    shapes = [(t.observations.shape[1], *t.actions.shape[1:]) for t in trajectories]
+    shapes = [(r.observations.shape[1], r.chunk_len, r.action_dim) for r in records]
     for record, shape in zip(records, shapes):
         if shape != shapes[0]:
             raise GroupShapeError(
                 f"task {record.task_id!r}: trajectory {record.trajectory_id} has chunk "
                 f"shape (features, steps, action dims) {shape}, trajectory "
                 f"{records[0].trajectory_id} has {shapes[0]}")
-    return RolloutGroup.from_trajectories(trajectories)
+    return RolloutGroup.from_trajectories(r.to_trajectory() for r in records)

@@ -200,7 +200,8 @@ def train(config: TrainConfig, spec: ToyTaskSpec = None,
             grad = masked_loss_grad(update_group, policy)
             policy.weights -= config.learning_rate * grad.reshape(policy.weights.shape)
 
-            used = int(update_group.chunk_mask.sum())
+            # Every chunk of a toyworld group, and every kept chunk, is real.
+            used = update_group.phase_ids.size
             cumulative += used
             step_metrics.chunks_used = used
             step_metrics.cumulative_chunks = cumulative

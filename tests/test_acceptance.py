@@ -6,6 +6,7 @@ environment's ground truth) at the stated tolerances.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -245,9 +246,8 @@ def test_criterion_11_phase_labeling():
     records = [TraceRecord.from_trajectory(t, "task-0", include_labels=False)
                for t in group.trajectories]
     labels = [r.to_trajectory().phase_ids.tolist() for r in records]
-    for r in records:
-        r.reward = 1.0 - r.reward
-    blind_ok = labels == [r.to_trajectory().phase_ids.tolist() for r in records] and all(
+    flipped = [replace(r, reward=1.0 - r.reward) for r in records]
+    blind_ok = labels == [r.to_trajectory().phase_ids.tolist() for r in flipped] and all(
         lab == spec.layout_ids.tolist() for lab in labels)
     check(11, "phase-labeling", golden_ok and blind_ok,
           f"golden {golden_ok}, reward-blind {blind_ok}")

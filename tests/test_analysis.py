@@ -1,11 +1,13 @@
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from chunkmask import traces
 from chunkmask.analysis import analyze, knee_point, sweep_budget
-from chunkmask.phases import PHASES, PhaseLabel
+from chunkmask.phases import PHASES, PhaseLabel, label_phases
 from chunkmask.toyworld import ToyTaskSpec, generate_group, initial_policy
 from chunkmask.traces import TraceRecord, read_traces
 
@@ -21,11 +23,9 @@ def toy_records(seed=0, tasks=4, group_size=10, force_uniform_task=None):
     for t in range(tasks):
         group = generate_group(spec, policy, group_size, rng)
         for traj in group.trajectories:
-            reward = traj.reward
-            if force_uniform_task == t:
-                reward = 1.0
             record = TraceRecord.from_trajectory(traj, task_id=f"task-{t}")
-            record.reward = reward
+            if force_uniform_task == t:
+                record = replace(record, reward=1.0)
             records.append(record)
     return records
 
@@ -118,13 +118,36 @@ class TestSweepBudget:
         # Force every phase to the same score by zeroing reward structure:
         # identical actions in all phases make the mean gaps equal (zero),
         # collapsing the curve onto the diagonal.
-        records = toy_records(tasks=2)
-        for r in records:
-            r.actions = [0.0] * len(r.actions)
+        records = [replace(r, actions=[0.0] * len(r.actions)) for r in toy_records(tasks=2)]
         sweep = sweep_budget(records)
         assert not sweep.knee_defined
         assert sweep.knee_fraction == pytest.approx(1.0)
         assert np.allclose(sweep.captured, sweep.fractions)
+
+
+def unlabelled_trace_file(tmp_path):
+    """An unlabelled trace file of 4 toy groups of 6 in which about half of
+    the trajectories end in a partial trailing chunk."""
+    spec = ToyTaskSpec()
+    policy = initial_policy(spec)
+    rng = np.random.default_rng(20261020)
+    length, dim = spec.chunk_len, spec.action_dim
+    lines = []
+    for t in range(4):
+        for traj in generate_group(spec, policy, 6, rng).trajectories:
+            cut = spec.chunks_per_traj * length
+            if rng.random() < 0.5:
+                cut -= int(rng.integers(1, length))
+            lines.append(json.dumps({
+                "trajectory_id": traj.trajectory_id, "task_id": f"task-{t}",
+                "reward": traj.reward, "chunk_len": length, "action_dim": dim,
+                "gripper": traj.gripper[:cut].tolist(),
+                "observations": traj.observations.tolist(),
+                "actions": traj.actions.reshape(-1, dim)[:cut].reshape(-1).tolist(),
+            }))
+    path = tmp_path / "traces.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    return path
 
 
 class TestOutputsPinned:
@@ -134,29 +157,8 @@ class TestOutputsPinned:
 
     def test_analysis_outputs_pinned(self, tmp_path):
         """analyze's keep probabilities, phase scores and masks and
-        sweep_budget's curve, bit for bit, on an unlabelled trace file of 4
-        toy groups of 6 in which about half of the trajectories end in a
-        partial trailing chunk."""
-        spec = ToyTaskSpec()
-        policy = initial_policy(spec)
-        rng = np.random.default_rng(20261020)
-        length, dim = spec.chunk_len, spec.action_dim
-        lines = []
-        for t in range(4):
-            for traj in generate_group(spec, policy, 6, rng).trajectories:
-                cut = spec.chunks_per_traj * length
-                if rng.random() < 0.5:
-                    cut -= int(rng.integers(1, length))
-                lines.append(json.dumps({
-                    "trajectory_id": traj.trajectory_id, "task_id": f"task-{t}",
-                    "reward": traj.reward, "chunk_len": length, "action_dim": dim,
-                    "gripper": traj.gripper[:cut].tolist(),
-                    "observations": traj.observations.tolist(),
-                    "actions": traj.actions.reshape(-1, dim)[:cut].reshape(-1).tolist(),
-                }))
-        path = tmp_path / "traces.jsonl"
-        path.write_text("\n".join(lines) + "\n")
-        records = read_traces(path)
+        sweep_budget's curve, bit for bit, on unlabelled_trace_file."""
+        records = read_traces(unlabelled_trace_file(tmp_path))
         result = analyze(records, budget=5, seed=1)
         sweep = sweep_budget(records)
 
@@ -174,3 +176,19 @@ class TestOutputsPinned:
             "analyze or sweep_budget outputs moved from the pinned run: a refactor "
             "changed the analysis outputs (keep probabilities, phase scores, masks "
             "or the budget-sweep curve)")
+
+
+def test_each_record_is_labelled_once(tmp_path, monkeypatch):
+    """A read + analyze + sweep_budget pass over an unlabelled file labels
+    each record once, when the reader builds it."""
+    calls = []
+
+    def counted(g_f):
+        calls.append(1)
+        return label_phases(g_f)
+
+    monkeypatch.setattr(traces, "label_phases", counted)
+    records = read_traces(unlabelled_trace_file(tmp_path))
+    analyze(records, budget=5, seed=1)
+    sweep_budget(records)
+    assert len(records) == 24 and len(calls) == len(records)

@@ -171,12 +171,13 @@ class TestAnalyze:
         ("task_id", None, "7"),
         ("reward", None, '"1"'),
         ("reward", None, "true"),
+        ("reward", None, "1" + "0" * 400),
     ] + NOT_ARRAYS, ids=["gripper-above-1", "gripper-below-0", "gripper-nan", "unknown-label",
             "action-nan", "action-infinity", "action-overflow", "observation-overflow",
             "action-string", "action-nested", "observation-short-row",
             "trajectory-id-float", "trajectory-id-string", "chunk-len-float",
             "action-dim-float", "task-id-null", "task-id-number",
-            "reward-string", "reward-bool"] + NOT_ARRAY_IDS)
+            "reward-string", "reward-bool", "reward-overflow"] + NOT_ARRAY_IDS)
     def test_invalid_value_skips_its_line(self, trace_file, capsys, field, index, value):
         lines = trace_file.read_text().splitlines()
         payload = json.loads(lines[0])

@@ -47,11 +47,10 @@ class TestCloseFraction:
             assert value == pytest.approx(sum(real) / len(real), abs=1e-12)
 
     def test_empty_trace_rejected(self):
-        # Traces are validated where they enter, when a record is read.
-        record = TraceRecord(trajectory_id=0, task_id="t", reward=0.0, chunk_len=4,
-                             gripper=[], observations=[], actions=[], action_dim=2)
-        with pytest.raises(ValueError):
-            record.validate()
+        # Traces are validated where they enter, when a record is built.
+        with pytest.raises(ValueError, match="empty gripper trace"):
+            TraceRecord(trajectory_id=0, task_id="t", reward=0.0, chunk_len=4,
+                        gripper=[], observations=[], actions=[], action_dim=2)
 
 
 class TestSustainedIntervals:

@@ -1,8 +1,10 @@
 import json
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
 
+from chunkmask import traces
 from chunkmask.grpo import ChunkedTrajectory
 from chunkmask.phases import PHASES, PhaseLabel, phase_ids
 from chunkmask.toyworld import ToyTaskSpec, generate_group, initial_policy
@@ -63,8 +65,7 @@ class TestRoundTrip:
     def test_missing_labels_are_recomputed_from_gripper(self):
         record = toy_records()[0]
         expected = phase_ids(record.labels)
-        record.labels = None
-        traj = record.to_trajectory()
+        traj = replace(record, labels=None).to_trajectory()
         assert np.array_equal(traj.phase_ids, expected)
 
 
@@ -81,8 +82,7 @@ class TestWireFormat:
     def test_labelled_line_parses_to_phase_ids(self):
         record = TraceRecord.from_json(self.LINE)
         assert record.to_trajectory().phase_ids.tolist() == self.IDS
-        record.labels = None
-        assert record.to_trajectory().phase_ids.tolist() != self.IDS
+        assert replace(record, labels=None).to_trajectory().phase_ids.tolist() != self.IDS
 
     def test_from_trajectory_writes_the_line_byte_for_byte(self):
         traj = ChunkedTrajectory(
@@ -95,26 +95,39 @@ class TestWireFormat:
 
 
 class TestValidation:
+    # A record is checked when it is built: in code with ValueError, from a
+    # trace line with TraceFormatError naming the line.
+    @staticmethod
+    def line(record, **changes):
+        return json.dumps(dict(json.loads(record.to_json()), **changes))
+
     def test_action_length_must_be_t_times_d(self):
         record = toy_records()[0]
-        record.actions = record.actions[:-1]
-        with pytest.raises(TraceFormatError):
-            record.validate(7)
+        short = record.actions[:-1]
+        with pytest.raises(ValueError, match="action array length"):
+            replace(record, actions=short)
+        with pytest.raises(TraceFormatError, match="line 7: action array length"):
+            TraceRecord.from_json(self.line(record, actions=short.tolist()), 7)
 
     def test_non_binary_reward_rejected(self):
         record = toy_records()[0]
-        record.reward = 0.7
-        with pytest.raises(TraceFormatError, match="reward"):
-            record.validate(3)
-        record.reward = 1.0
-        record.validate(3)
+        with pytest.raises(ValueError, match="reward"):
+            replace(record, reward=0.7)
+        with pytest.raises(TraceFormatError, match="line 3: reward"):
+            TraceRecord.from_json(self.line(record, reward=0.7), 3)
+        assert replace(record, reward=1.0).reward == 1.0
+        assert TraceRecord.from_json(self.line(record, reward=1.0), 3).reward == 1.0
 
     def test_gripper_outside_unit_interval_rejected(self):
         record = toy_records()[0]
         for value in (1.5, -0.1, float("nan")):
-            record.gripper[2] = value
-            with pytest.raises(TraceFormatError, match="line 5: gripper"):
-                record.validate(5)
+            gripper = record.gripper.copy()
+            gripper[2] = value
+            with pytest.raises(ValueError, match="^gripper commands must lie in"):
+                replace(record, gripper=gripper)
+            if np.isfinite(value):  # a trace line holds no NaN
+                with pytest.raises(TraceFormatError, match="line 5: gripper"):
+                    TraceRecord.from_json(self.line(record, gripper=gripper.tolist()), 5)
 
     def test_malformed_json_reports_line_number(self, tmp_path):
         records = toy_records(tasks=1, group_size=2)
@@ -154,12 +167,51 @@ class TestValidation:
         assert [r.trajectory_id for r in loaded] == [0, 2]
         assert len(errors) == 1 and errors[0].line_number == 2
         assert f"{field} must be an array, got {value}" in str(errors[0])
+        # The same value in a record built in code.
+        built = dict(trajectory_id=0, task_id="t", reward=1.0, chunk_len=2,
+                     gripper=[0.0, 0.0], observations=[[0.0]], actions=[0.0, 0.0],
+                     action_dim=1)
+        built[field] = json.loads(value)
+        with pytest.raises(ValueError, match=f"^{field} must be an array, got "):
+            TraceRecord(**built)
 
     def test_blank_lines_ignored(self, tmp_path):
         records = toy_records(tasks=1, group_size=2)
         path = tmp_path / "traces.jsonl"
         path.write_text("\n" + records[0].to_json() + "\n\n" + records[1].to_json() + "\n")
         assert len(read_traces(path)) == 2
+
+
+class TestImmutableRecord:
+    def test_no_field_can_be_assigned(self):
+        record = toy_records()[0]
+        for f in fields(TraceRecord):
+            with pytest.raises(FrozenInstanceError):
+                setattr(record, f.name, getattr(record, f.name))
+        assert not hasattr(TraceRecord, "validate")
+
+    def test_arrays_are_read_only_copies(self):
+        traj = generate_group(ToyTaskSpec(), initial_policy(ToyTaskSpec()), 2, 0).trajectories[0]
+        record = TraceRecord.from_trajectory(traj, "t")
+        for array in (record.gripper, record.observations, record.actions, record.phase_ids):
+            assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            record.gripper[0] = 0.5
+        assert traj.observations.flags.writeable and traj.gripper.flags.writeable
+        assert record.labels == tuple(PHASES[k].value for k in traj.phase_ids)
+
+    def test_to_trajectory_passes_the_ids_through(self, monkeypatch):
+        record = toy_records()[0]
+        unlabelled = replace(record, labels=None)
+
+        def refuse(g_f):
+            raise AssertionError("to_trajectory labelled the gripper trace")
+
+        monkeypatch.setattr(traces, "label_phases", refuse)
+        for r in (record, unlabelled):
+            traj = r.to_trajectory()
+            assert traj.phase_ids is r.phase_ids
+            assert traj.observations is r.observations and traj.gripper is r.gripper
 
 
 class TestGrouping:
