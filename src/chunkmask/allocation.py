@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: compared and hashed by identity
 class PhaseStats:
     """Expected chunk counts and per-chunk gradient variances per phase, plus
     the total chunk budget."""

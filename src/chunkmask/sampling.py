@@ -10,7 +10,7 @@ import numpy as np
 from .grpo import RolloutGroup
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: compared and hashed by identity
 class SelectionMask:
     """Selected chunk indices for one trajectory, stored sorted."""
 

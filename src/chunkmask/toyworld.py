@@ -96,8 +96,8 @@ class ToyTaskSpec:
     # Derived at construction, read-only: the scripted profile (N,); its
     # phase ids (N,) and their one-hot rows (N, F), labelled as trace
     # records are, since the layout is the same for every rollout; the
-    # execution-noise multiplier of each chunk (N,); and the chunk indices of
-    # each critical phase, in critical_phases order.
+    # execution-noise multiplier of each chunk (N,); and the chunks of each
+    # critical phase as one slice, in critical_phases order.
     gripper_profile: np.ndarray = field(init=False, repr=False, compare=False)
     layout_ids: np.ndarray = field(init=False, repr=False, compare=False)
     layout_onehot: np.ndarray = field(init=False, repr=False, compare=False)
@@ -109,9 +109,14 @@ class ToyTaskSpec:
         ids = label_phases(profile)
         if np.unique(ids).size != len(PHASES):
             raise ValueError("gripper profile must produce all five phases")
+        chunks = []
         for c in self.critical_phases:
             if c not in self.targets:
                 raise ValueError(f"critical phase {c} has no latent target")
+            idx = np.flatnonzero(ids == PHASES.index(c))
+            if idx[-1] - idx[0] + 1 != idx.size:
+                raise ValueError(f"critical phase {c} is not one run of chunks")
+            chunks.append(slice(int(idx[0]), int(idx[-1]) + 1))
         noise = MappingProxyType(dict(self.exec_noise))
         derived = {
             "critical_phases": tuple(self.critical_phases),
@@ -120,8 +125,7 @@ class ToyTaskSpec:
             "layout_ids": _read_only(ids),
             "layout_onehot": _read_only(np.eye(len(PHASES))[ids]),
             "noise_scale": _read_only(np.array([noise[c] for c in PHASES])[ids]),
-            "critical_chunks": tuple(_read_only(np.flatnonzero(ids == PHASES.index(c)))
-                                     for c in self.critical_phases),
+            "critical_chunks": tuple(chunks),
         }
         for name, value in derived.items():
             object.__setattr__(self, name, value)
@@ -143,17 +147,14 @@ def initial_policy(spec: ToyTaskSpec) -> GaussianChunkPolicy:
     return GaussianChunkPolicy(weights=weights, sigma=POLICY_SIGMA)
 
 
-def phase_mean_action(actions: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """(num, D) mean action over the chunks idx (sorted, unique, nonempty) of
-    actions (num, N, L, D), in the summation order generate_batch fixes. Bit
-    for bit actions[:, idx].mean(axis=(1, 2)) when D >= 2; for D = 1 numpy
-    sums that reduction pairwise, so the two differ in the last bits."""
+def phase_mean_action(actions: np.ndarray, chunks: slice) -> np.ndarray:
+    """(num, D) mean action over the nonempty chunk range chunks of actions
+    (num, N, L, D), in the summation order generate_batch fixes. Bit for bit
+    actions[:, chunks].mean(axis=(1, 2)) when D >= 2; for D = 1 numpy sums
+    that reduction pairwise, so the two differ in the last bits."""
     num, _, l, d = actions.shape
-    if idx[-1] - idx[0] + 1 == idx.size:  # contiguous, as in every profile: a view
-        block = actions[:, idx[0]:idx[-1] + 1]
-    else:
-        block = actions[:, idx]
-    return np.einsum("nkd->nd", block.reshape(num, -1, d)) / (idx.size * l)
+    block = actions[:, chunks]  # a view
+    return np.einsum("nkd->nd", block.reshape(num, -1, d)) / (block.shape[1] * l)
 
 
 def noise_size(spec: ToyTaskSpec, num: int, greedy: bool = False) -> int:
@@ -165,28 +166,14 @@ def noise_size(spec: ToyTaskSpec, num: int, greedy: bool = False) -> int:
     return num * (n * f + actions + len(spec.critical_phases) * spec.action_dim)
 
 
-def _noise_block(spec: ToyTaskSpec, num: int, rng, greedy: bool) -> np.ndarray:
-    """rng itself when it is a pre-drawn block (any ndarray), checked against
-    noise_size; otherwise one block drawn from the Generator rng."""
-    size = noise_size(spec, num, greedy)
-    if not isinstance(rng, np.ndarray):
-        return rng.standard_normal(size)
-    if rng.shape != (size,) or rng.dtype != np.float64:
-        raise ValueError(f"noise block must be a flat float64 array of length {size}, "
-                         f"got {rng.dtype} of shape {rng.shape}")
-    return rng
-
-
 def generate_batch(spec: ToyTaskSpec, policy: GaussianChunkPolicy, num: int,
-                   rng, greedy: bool = False):
-    """Vectorized rollout generation.
+                   block: np.ndarray, greedy: bool = False):
+    """Vectorized rollout generation from a pre-drawn noise block: a flat
+    float64 array of noise_size(spec, num, greedy) standard normals, scaled
+    in place; the returned observations are a view of it. Anything else
+    raises ValueError.
 
-    rng is a Generator or a pre-drawn noise block: a flat float64 array of
-    noise_size(spec, num, greedy) standard normals. The block is scaled in
-    place, and the returned observations are a view of it.
-
-    Returns (observations (num, N, F), actions (num, N, L, D),
-    rewards (num,), distances {phase: (num,)}).
+    Returns (observations (num, N, F), actions (num, N, L, D), rewards (num,)).
 
     Stream contract: all the randomness of a batch is one flat block of
     standard normals, taken from a Generator in one standard_normal call,
@@ -209,7 +196,12 @@ def generate_batch(spec: ToyTaskSpec, policy: GaussianChunkPolicy, num: int,
     """
     n, f = spec.chunks_per_traj, len(PHASES)
     l, d = spec.chunk_len, spec.action_dim
-    block = _noise_block(spec, num, rng, greedy)
+    size = noise_size(spec, num, greedy)
+    if not (isinstance(block, np.ndarray) and block.shape == (size,)
+            and block.dtype == np.float64):
+        raise ValueError(f"noise block must be a flat float64 array of length {size}, "
+                         f"got {getattr(block, 'dtype', type(block).__name__)} "
+                         f"of shape {np.shape(block)}")
 
     cut = num * n * f
     obs = block[:cut].reshape(num, n, f)
@@ -224,25 +216,23 @@ def generate_batch(spec: ToyTaskSpec, policy: GaussianChunkPolicy, num: int,
     actions = actions.reshape(num, n, l, d)
 
     rewards = np.ones(num)
-    distances = {}
-    for phase, idx in zip(spec.critical_phases, spec.critical_chunks):
-        realized = phase_mean_action(actions, idx)  # (num, D)
+    for phase, chunks in zip(spec.critical_phases, spec.critical_chunks):
+        realized = phase_mean_action(actions, chunks)  # (num, D)
         jitter = spec.target_jitter * block[cut:cut + num * d].reshape(num, d)
         cut += num * d
         gap = realized - spec.targets[phase][None] - jitter
-        dist = np.sqrt(np.add.reduce(gap * gap, axis=1))
-        distances[phase] = dist
-        rewards *= dist <= spec.tolerance
-    return obs, actions, rewards, distances
+        rewards *= np.sqrt(np.add.reduce(gap * gap, axis=1)) <= spec.tolerance
+    return obs, actions, rewards
 
 
 def generate_group(spec: ToyTaskSpec, policy: GaussianChunkPolicy,
                    group_size: int, rng) -> RolloutGroup:
-    """A rollout group for one task prompt. rng is a Generator, a seed or a
-    pre-drawn noise block, as for generate_batch."""
+    """A rollout group for one task prompt. rng is a pre-drawn noise block,
+    as for generate_batch, or a Generator or a seed, from which this draws
+    the block in one standard_normal call."""
     if not isinstance(rng, np.ndarray):
-        rng = np.random.default_rng(rng)  # a Generator passes through unchanged
-    obs, actions, rewards, _ = generate_batch(spec, policy, group_size, rng)
+        rng = np.random.default_rng(rng).standard_normal(noise_size(spec, group_size))
+    obs, actions, rewards = generate_batch(spec, policy, group_size, rng)
     n, l = spec.chunks_per_traj, spec.chunk_len
     return RolloutGroup(
         observations=obs, actions=actions,

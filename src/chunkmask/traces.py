@@ -52,7 +52,7 @@ def _length(name: str, value) -> int:
     raise ValueError(f"{name} must be an array, got {value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: compared and hashed by identity
 class TraceRecord:
     """One trajectory of a trace file, checked when it is built: a malformed
     record raises ValueError. The arrays are stored read-only, as float

@@ -85,21 +85,20 @@ def _select_masks(mode, group, state: PhaseScoreState, budget, seed, step):
         return np.sort([rng.choice(n, size=m, replace=False) for rng in rngs], axis=1)
     if mode == "full_mask":
         top = np.argmax(state.keep_probs)  # the first phase of highest probability
-        rows = []
-        for ids, rng in zip(group.phase_ids, rngs):
-            candidates = np.flatnonzero(ids == top)
-            if candidates.size == 0:
-                candidates = np.arange(n)
-            rows.append(rng.choice(candidates, size=min(m, candidates.size), replace=False))
-        return np.sort(rows, axis=1)
+        candidates = np.flatnonzero(group.phase_ids[0] == top)
+        if candidates.size == 0:
+            candidates = np.arange(n)
+        size = min(m, candidates.size)
+        return np.sort([rng.choice(candidates, size=size, replace=False) for rng in rngs],
+                       axis=1)
     raise ValueError(f"no masking rule for mode {mode}")
 
 
 def evaluate(spec: ToyTaskSpec, policy: GaussianChunkPolicy, rollouts: int,
-             rng) -> float:
-    """Greedy (mean-action) evaluation success rate; rng as for
-    generate_batch."""
-    _, _, rewards, _ = generate_batch(spec, policy, rollouts, rng, greedy=True)
+             block: np.ndarray) -> float:
+    """Greedy (mean-action) evaluation success rate over the pre-drawn noise
+    block of noise_size(spec, rollouts, greedy=True) standard normals."""
+    _, _, rewards = generate_batch(spec, policy, rollouts, block, greedy=True)
     return float(rewards.mean())
 
 
@@ -133,10 +132,10 @@ def train(config: TrainConfig, spec: ToyTaskSpec = None,
 
     The rollout and evaluation noise does not depend on the policy, so a
     worker thread, which alone owns the two generators, draws each step's
-    two blocks (see generate_batch) in step order, DRAW_AHEAD steps ahead of
-    the loop. A block holds the numbers generate_batch would take from the
-    generator itself, so the run does not depend on when the worker draws;
-    no worker thread outlives the call, whether it returns or raises.
+    two blocks (see generate_batch), each in one standard_normal call, in
+    step order, DRAW_AHEAD steps ahead of the loop. So the run does not
+    depend on when the worker draws; no worker thread outlives the call,
+    whether it returns or raises.
 
     spec_switch, when given as (step, new_spec), swaps the task spec mid-run
     (used to probe allocation adaptation).

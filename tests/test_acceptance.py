@@ -16,12 +16,13 @@ from chunkmask.grpo import (
     ChunkedTrajectory,
     GaussianChunkPolicy,
     RolloutGroup,
-    _score_terms,
     group_advantages,
+    masked_loss_grad,
     phase_gradient_stats,
+    reweighted_loss_grad,
 )
 from chunkmask.phases import PHASES, PhaseLabel, label_phases, phase_dict, phase_ids
-from chunkmask.sampling import weighted_sample_rows
+from chunkmask.sampling import shrink_batch, weighted_sample_rows
 from chunkmask.scores import GroupCollapsedError, compute_phase_scores
 from chunkmask.toyworld import (
     ToyTaskSpec,
@@ -199,20 +200,20 @@ def test_criterion_09_masked_vs_reweighted_variance():
         if candidate.reward_variance > 0.0:
             group = candidate
             break
-    terms, ids = _score_terms(group, policy)
     probs = {AG: 1.0, PG: 0.87, RR: 0.1, AP: 0.1, TL: 0.1}
-    weights = np.array([probs[c] for c in PHASES])[ids]
-    n = spec.chunks_per_traj
+    keep_probs = np.array([probs[c] for c in PHASES])
     draws, budget = 10000, 12
 
-    chosen = weighted_sample_rows(np.tile(weights.reshape(10, n), (draws, 1)), budget, rng)
-    selection = np.zeros((draws * 10, n), dtype=bool)
-    selection[np.arange(draws * 10)[:, None], chosen] = True
-    selection = selection.reshape(draws, len(ids))
-    masked = -(selection @ terms) / 10.0
-    reweighted = -((selection / weights[None]) @ terms) / 10.0
-    var_masked = float(masked.var(axis=0, ddof=1).sum())
-    var_reweighted = float(reweighted.var(axis=0, ddof=1).sum())
+    # Each draw selects `budget` chunks per trajectory; both estimators are
+    # the shipped gradients of the shrunk group.
+    chosen = weighted_sample_rows(np.tile(keep_probs[group.phase_ids], (draws, 1)), budget, rng)
+    masked, reweighted = [], []
+    for rows in chosen.reshape(draws, group.phase_ids.shape[0], -1):
+        kept = shrink_batch(group, rows)
+        masked.append(masked_loss_grad(kept, policy))
+        reweighted.append(reweighted_loss_grad(kept, policy, keep_probs))
+    var_masked = float(np.var(masked, axis=0, ddof=1).sum())
+    var_reweighted = float(np.var(reweighted, axis=0, ddof=1).sum())
     check(9, "masked-below-reweighted-variance", var_masked < var_reweighted,
           f"masked {var_masked:.3f} < importance-weighted {var_reweighted:.3f}")
 

@@ -50,6 +50,32 @@ class TestSpec:
         with pytest.raises(ValueError):
             ToyTaskSpec(critical_phases=(AG, PG, PhaseLabel.TAIL))
 
+    def test_split_critical_phase_rejected(self, monkeypatch):
+        import chunkmask.toyworld as toyworld
+
+        # Two grasps: active_grip and pre_grasp each fall into two runs.
+        profile = np.array([0, 0, 0, 0.2, 0.9, 0.9, 0.9, 0.2, 0.9, 0.9, 0.9,
+                            0.3, 0.2, 0.05, 0, 0])
+        monkeypatch.setattr(toyworld, "default_gripper_profile", lambda n: profile)
+        for critical in ((AG,), (PG,)):
+            with pytest.raises(ValueError, match="not one run of chunks"):
+                ToyTaskSpec(critical_phases=critical)
+
+    def test_critical_chunks_cover_each_phase_for_every_size(self):
+        built = 0
+        for n in range(1, 1025):
+            try:
+                spec = ToyTaskSpec(chunks_per_traj=n)
+            except ValueError as error:  # a profile too short for five phases
+                assert "all five phases" in str(error)
+                continue
+            built += 1
+            chunks = np.arange(n)
+            for phase, sl in zip(spec.critical_phases, spec.critical_chunks):
+                assert np.array_equal(chunks[sl],
+                                      np.flatnonzero(spec.layout_ids == PHASES.index(phase)))
+        assert built == 1012
+
 
 class TestImmutableSpec:
     @pytest.mark.parametrize("name, value", [
@@ -69,8 +95,7 @@ class TestImmutableSpec:
     def test_arrays_are_read_only(self):
         spec = ToyTaskSpec()
         arrays = [spec.gripper_profile, spec.layout_ids, spec.layout_onehot,
-                  spec.noise_scale, *spec.critical_chunks, *spec.targets.values(),
-                  *spec.base_actions.values()]
+                  spec.noise_scale, *spec.targets.values(), *spec.base_actions.values()]
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1
@@ -92,8 +117,10 @@ class TestImmutableSpec:
         assert scale.dtype == spec.noise_scale.dtype
         assert scale.tobytes() == spec.noise_scale.tobytes()
         assert len(spec.critical_chunks) == len(spec.critical_phases)
-        for phase, idx in zip(spec.critical_phases, spec.critical_chunks):
-            assert np.array_equal(idx, np.flatnonzero(spec.layout_ids == PHASES.index(phase)))
+        chunks = np.arange(spec.chunks_per_traj)
+        for phase, sl in zip(spec.critical_phases, spec.critical_chunks):
+            assert np.array_equal(chunks[sl],
+                                  np.flatnonzero(spec.layout_ids == PHASES.index(phase)))
 
 
 class TestRollouts:
@@ -103,7 +130,8 @@ class TestRollouts:
         spec = ToyTaskSpec(target_jitter=0.0)
         policy = initial_policy(spec)
         rng = np.random.default_rng(0)
-        obs, actions, rewards, dists = generate_batch(spec, policy, 64, rng)
+        obs, actions, rewards = generate_batch(spec, policy, 64,
+                                               rng.standard_normal(noise_size(spec, 64)))
         layout = [PHASES[k] for k in spec.layout_ids]
         replay = np.ones(64, dtype=bool)
         for phase in spec.critical_phases:
@@ -142,8 +170,8 @@ class TestRollouts:
         # succeed often enough for informative group advantages.
         spec = ToyTaskSpec()
         policy = initial_policy(spec)
-        rng = np.random.default_rng(7)
-        _, _, rewards, _ = generate_batch(spec, policy, 2000, rng)
+        block = np.random.default_rng(7).standard_normal(noise_size(spec, 2000))
+        _, _, rewards = generate_batch(spec, policy, 2000, block)
         assert 0.15 < rewards.mean() < 0.85
 
     def test_group_has_labels_and_rewards(self):
@@ -165,18 +193,35 @@ class TestRollouts:
         monkeypatch.setattr(toyworld, "label_phases",
                             lambda *args: calls.append(args) or [])
         group = generate_group(spec, policy, 4, 0)
-        generate_batch(spec, policy, 4, np.random.default_rng(0), greedy=True)
+        generate_batch(spec, policy, 4, np.zeros(noise_size(spec, 4, greedy=True)), greedy=True)
         assert calls == []
         assert group.phase_ids.tolist() == [spec.layout_ids.tolist()] * 4
 
 
+def reference_batch(spec, policy, num, rng, greedy):
+    """The batch of generate_batch's stream contract, drawing its parts one
+    after another from the Generator rng: (observations, actions, rewards)."""
+    n, f, d = spec.chunks_per_traj, len(PHASES), spec.action_dim
+    obs = spec.layout_onehot + spec.obs_noise * rng.standard_normal((num, n, f))
+    actions = obs @ policy.weights
+    if not greedy:
+        scale = policy.sigma * spec.noise_scale[:, None]
+        actions = actions + scale * rng.standard_normal(actions.shape)
+    actions = actions.reshape(num, n, spec.chunk_len, d)
+    rewards = np.ones(num)
+    for phase, chunks in zip(spec.critical_phases, spec.critical_chunks):
+        jitter = spec.target_jitter * rng.standard_normal((num, d))
+        gap = actions[:, chunks].mean(axis=(1, 2)) - spec.targets[phase] - jitter
+        rewards *= np.sqrt((gap * gap).sum(axis=1)) <= spec.tolerance
+    return obs, actions, rewards
+
+
 class TestNoiseBlock:
-    """A pre-drawn noise block stands in for the Generator it came from."""
+    """A noise block drawn from a Generator in one call stands in for the
+    parts of the stream contract drawn one after another."""
 
     @staticmethod
     def _same(a, b):
-        if isinstance(a, dict):
-            return a.keys() == b.keys() and all(TestNoiseBlock._same(a[k], b[k]) for k in a)
         return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("greedy", [False, True], ids=["sampled", "greedy"])
@@ -184,9 +229,10 @@ class TestNoiseBlock:
     def test_batch_from_block_matches_generator(self, which, greedy):
         spec = SPECS[which]()
         policy = initial_policy(spec)
-        expected = generate_batch(spec, policy, 7, np.random.default_rng(5), greedy=greedy)
+        expected = reference_batch(spec, policy, 7, np.random.default_rng(5), greedy)
         block = np.random.default_rng(5).standard_normal(noise_size(spec, 7, greedy))
         got = generate_batch(spec, policy, 7, block, greedy=greedy)
+        assert len(got) == 3
         assert all(self._same(a, b) for a, b in zip(got, expected))
 
     @pytest.mark.parametrize("which", sorted(SPECS))
@@ -199,9 +245,25 @@ class TestNoiseBlock:
             from_other = generate_group(spec, policy, 10, rng)
             for field in ("observations", "actions", "rewards"):
                 assert self._same(getattr(from_other, field), getattr(group, field)), field
-        success = evaluate(spec, policy, 50, np.random.default_rng(4))
+        _, _, rewards = reference_batch(spec, policy, 50, np.random.default_rng(4), True)
         block = np.random.default_rng(4).standard_normal(noise_size(spec, 50, greedy=True))
-        assert evaluate(spec, policy, 50, block) == success
+        assert evaluate(spec, policy, 50, block) == float(rewards.mean())
+
+    @pytest.mark.parametrize("bad", ["generator", "short", "long", "int64", "float32"])
+    @pytest.mark.parametrize("caller", ["generate_batch", "evaluate"])
+    def test_only_a_float64_block_is_accepted(self, caller, bad):
+        spec = ToyTaskSpec()
+        policy = initial_policy(spec)
+        size = noise_size(spec, 5, greedy=caller == "evaluate")
+        block = {"generator": np.random.default_rng(0), "short": np.zeros(size - 1),
+                 "long": np.zeros(size + 1), "int64": np.zeros(size, dtype=np.int64),
+                 "float32": np.zeros(size, dtype=np.float32)}[bad]
+        message = f"noise block must be a flat float64 array of length {size}, got "
+        with pytest.raises(ValueError, match=message):
+            if caller == "evaluate":
+                evaluate(spec, policy, 5, block)
+            else:
+                generate_batch(spec, policy, 5, block)
 
     @pytest.mark.parametrize("delta", [-1, 1])
     def test_wrong_length_names_expected(self, delta):
@@ -216,9 +278,13 @@ class TestNoiseBlock:
 
     def test_integer_array_is_a_block_not_a_seed(self):
         spec = ToyTaskSpec()
+        policy = initial_policy(spec)
         size = noise_size(spec, 3, greedy=True)
         with pytest.raises(ValueError, match=f"length {size}"):
-            generate_batch(spec, initial_policy(spec), 3, np.arange(size), greedy=True)
+            generate_batch(spec, policy, 3, np.arange(size), greedy=True)
+        size = noise_size(spec, 3)
+        with pytest.raises(ValueError, match=f"length {size}"):
+            generate_group(spec, policy, 3, np.arange(size))
 
 
 class TestPhaseMeanAction:
@@ -228,16 +294,12 @@ class TestPhaseMeanAction:
 
     @settings(max_examples=200, deadline=None, database=None)
     @given(st.data(), st.integers(2, 3), st.integers(1, 12), st.integers(1, 40),
-           st.integers(1, 10), st.booleans())
-    def test_equals_numpy_mean_bit_for_bit(self, data, d, num, n, l, contiguous):
+           st.integers(1, 10))
+    def test_equals_numpy_mean_bit_for_bit(self, data, d, num, n, l):
         k = data.draw(st.integers(1, n))
-        if contiguous:
-            start = data.draw(st.integers(0, n - k))
-            idx = np.arange(start, start + k)
-        else:
-            idx = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1),
-                                                    min_size=k, max_size=k))))
+        start = data.draw(st.integers(0, n - k))
+        chunks = slice(start, start + k)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         actions = rng.standard_normal((num, n, l, d)) * 10.0 ** rng.uniform(-3, 3)
-        assert np.array_equal(phase_mean_action(actions, idx),
-                              actions[:, idx].mean(axis=(1, 2)))
+        assert np.array_equal(phase_mean_action(actions, chunks),
+                              actions[:, chunks].mean(axis=(1, 2)))

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from chunkmask import traces
+from chunkmask.allocation import PhaseStats
 from chunkmask.grpo import ChunkedTrajectory
 from chunkmask.phases import PHASES, PhaseLabel, phase_ids
+from chunkmask.sampling import SelectionMask
 from chunkmask.toyworld import ToyTaskSpec, generate_group, initial_policy
 from chunkmask.traces import (
     TraceFormatError,
@@ -212,6 +214,19 @@ class TestImmutableRecord:
             traj = r.to_trajectory()
             assert traj.phase_ids is r.phase_ids
             assert traj.observations is r.observations and traj.gripper is r.gripper
+
+
+@pytest.mark.parametrize("make", [
+    lambda: toy_records()[0],
+    lambda: SelectionMask(np.array([3, 1, 2])),
+    lambda: PhaseStats(counts=np.array([10.0, 5.0]), variances=np.array([4.0, 1.0]), budget=6),
+], ids=["TraceRecord", "SelectionMask", "PhaseStats"])
+def test_array_valued_records_compare_and_hash_by_identity(make):
+    value = make()
+    copy = replace(value)
+    assert (value == copy) is False and (value != copy) is True
+    assert (value == value) is True
+    assert hash(value) == hash(value) and isinstance(hash(copy), int)
 
 
 class TestGrouping:
